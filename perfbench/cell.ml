@@ -1,9 +1,15 @@
 (* Workloads and one benchmark cell: a fresh structure for one scheme,
-   prefilled and driven by two worker domains for a fixed window, then
-   checked. The main domain only sets up, starts and joins. *)
+   prefilled and driven by two workers for a fixed window, then
+   checked. *)
 
 open Pop_runtime
 open Pop_harness
+
+(* A fresh histogram holding the samples of [hs]. *)
+let merged hs =
+  let m = Histogram.create () in
+  List.iter (fun src -> Histogram.merge_into m ~src) hs;
+  m
 
 type mix = Set_ops of Workload.mix | Kv_ops of Workload.kv_mix
 
@@ -15,13 +21,16 @@ type workload = {
   theta : float;  (** Zipf skew of keys; 0 = uniform. *)
   rate : float;  (** Open-loop arrivals per second, all workers; 0 = closed loop. *)
   window_ns : int;
-      (** Latency quantiles are taken per worker and window of this
-          length and reported as the median over all of a run's
-          worker-windows. A host stall (they reach several ms on a 2-core
-          VM) then moves one worker-window, not the run; and a worker
-          whose cell runs in the fast mode (see [rounds]) weighs as one
-          worker, not by its larger op count. Long enough that the
-          slowest scheme's p99 has ten samples beyond it. *)
+      (** Latency quantiles and throughput are taken per worker and
+          window of this length and reported over all of a run's
+          worker-windows, so a host stall (several ms on a
+          2-core VM) moves one window, not the run. At least as long as
+          one worker's interval between reclamation passes, so every
+          window holds pass activity. *)
+  tail_pct : float;
+      (** The percentile behind [tail_us]: the highest of p99, p99.9
+          and p99.99 that leaves ten samples beyond it in the smallest
+          window (printed as [tail_beyond_min]). *)
   rounds : int;
       (** Cells per scheme in one run. Cheap set-ups get more: the POP
           schemes on list-read run either ~0.15 or ~0.35 Mops depending
@@ -41,7 +50,8 @@ let workloads =
       mix = Set_ops Workload.read_heavy;
       theta = 0.0;
       rate = 0.0;
-      window_ns = 80_000_000;
+      window_ns = 160_000_000;
+      tail_pct = 0.99;
       rounds = 15;
     };
     {
@@ -52,7 +62,8 @@ let workloads =
       theta = 0.0;
       rate = 0.0;
       window_ns = 40_000_000;
-      rounds = 5;
+      tail_pct = 0.99;
+      rounds = 10;
     };
     {
       name = "kv-zipf";
@@ -61,7 +72,8 @@ let workloads =
       mix = Kv_ops Workload.kv_default;
       theta = 0.99;
       rate = 100_000.0;
-      window_ns = 24_000_000;
+      window_ns = 250_000_000;
+      tail_pct = 0.999;
       rounds = 10;
     };
   ]
@@ -128,19 +140,16 @@ let gen_arrivals w ~seed ~tid ~dur_ns =
 
 type spans = { count : int array; sum : int array; self_sum : int }
 
-(* The tail percentile: the highest of p99, p99.9 and p99.99 that
-   leaves at least ten samples beyond it in one worker-window (about
-   1200 samples for kv-zipf, 4000 or more for the slowest closed-loop
-   cell). *)
-let tail_q = 0.99
+(* Rank of the [q] quantile in [n] samples (1-based), and the samples
+   above it. *)
+let rank n q = max 1 (min n (int_of_float (Float.ceil (q *. float_of_int n))))
 
-type window = {
-  w_p50_ns : int;
-  w_tail_ns : int;
-  w_max_ns : int;
-  w_samples : int;
-  w_beyond : int;  (** Samples above [w_tail_ns]. *)
-}
+let beyond n q = if n = 0 then 0 else n - rank n q
+
+(* The tail rule: the highest of p99, p99.9 and p99.99 that leaves at
+   least ten samples beyond it in [n]. *)
+let tail_q n =
+  List.find_opt (fun q -> beyond n q >= 10) [ 0.9999; 0.999; 0.99 ] |> Option.value ~default:0.99
 
 type result = {
   scheme : Dispatch.smr_kind;
@@ -149,9 +158,14 @@ type result = {
   ops : int;  (** Workload ops completed. *)
   unserved : int;  (** Open-loop arrivals abandoned (a saturated scheme). *)
   elapsed_s : float;  (** Longest worker window. *)
-  windows : window array;  (** One per worker and window. *)
-  window_mops : float array;  (** Ops of both workers per window. *)
-  late_p99_ns : int;  (** Generator lateness p99; 0 in a closed loop. *)
+  windows : Histogram.t array;
+      (** Latency per worker and window ([window * workers + tid]), an
+          op counted in the window of its due time (open loop) or start
+          time (closed loop). *)
+  window_mops : float array;
+      (** Ops of both workers completed per window, by completion
+          time. *)
+  late_p99_ns : float;  (** Generator lateness p99; 0 in a closed loop. *)
   upd_att : int;
   upd_ok : int;
   minor_words : float;
@@ -160,7 +174,7 @@ type result = {
   stats1 : Pop_core.Smr_stats.t;  (** At the end of the window. *)
   spans : spans option;  (** Summed over workers (traced cells). *)
   verified : int;  (** Sampled ops whose spans passed {!Span.verify}. *)
-  retire_tail_ns : int;
+  retire_lat : Histogram.t;  (** Retire spans of both workers (traced cells). *)
   failure : string option;
 }
 
@@ -173,9 +187,9 @@ type tally = {
   t_ok : int;
   t_minor_words : float;
   t_spans : spans option;
-  t_lat : Lat.t;  (** Per-op latency samples. *)
-  t_late : Lat.t;  (** Generator lateness samples. *)
-  t_wstart : int array;  (** Window starts in [t_lat], plus the end. *)
+  t_lat : Histogram.t array;  (** Per-op latency, per window. *)
+  t_done : int array;  (** Ops completed per window. *)
+  t_late : Histogram.t;  (** Generator lateness. *)
 }
 
 let fi = float_of_int
@@ -227,10 +241,9 @@ let run w scheme ~traced ~seed ~nworkers ~dur_ns ~limit =
     let ctx = S.register set ~tid in
     let ops = streams.(tid) and arr = arrivals.(tid) in
     let mask = stream_len - 1 in
-    let lat = Lat.create ~capacity:(1 lsl 19) () and late = Lat.create () in
+    let lat = Array.init nwin (fun _ -> Histogram.create ()) and late = Histogram.create () in
+    let done_ = Array.make nwin 0 in
     let buf = Span.bufs.(tid) in
-    (* [wstart.(i)]: index in [lat] of window [i]'s first sample. *)
-    let wstart = Array.make (nwin + 1) 0 in
     let net = ref 0 and att = ref 0 and ok = ref 0 in
     let upd r =
       incr att;
@@ -269,14 +282,23 @@ let run w scheme ~traced ~seed ~nworkers ~dur_ns ~limit =
     let mg0 = if tid = 0 then (Gc.quick_stat ()).minor_collections else 0 in
     let i = ref 0 and t = ref t_start in
     let unserved = ref 0 in
-    let win = ref 0 and edge = ref (if win_ns = max_int then max_int else t_start + win_ns) in
-    let record ~at ns =
+    let first_edge = if win_ns = max_int then max_int else t_start + win_ns in
+    (* Latency goes to the window of [at], the last window taking what
+       comes after it; a completion at [t1] counts in its own window,
+       and none after the last. Both times only grow. *)
+    let win = ref 0 and edge = ref first_edge in
+    let cwin = ref 0 and cedge = ref first_edge in
+    let record ~at ~t1 ns =
       while at >= !edge && !win < nwin - 1 do
         incr win;
-        edge := !edge + win_ns;
-        wstart.(!win) <- Lat.count lat
+        edge := !edge + win_ns
       done;
-      Lat.record lat ns
+      Histogram.record (Array.unsafe_get lat !win) ns;
+      while t1 >= !cedge && !cwin < nwin do
+        incr cwin;
+        cedge := !cedge + win_ns
+      done;
+      if !cwin < nwin then done_.(!cwin) <- done_.(!cwin) + 1
     in
     if open_loop then begin
       let n = Array.length arr and abandon = t_start + (5 * dur_ns) in
@@ -291,12 +313,12 @@ let run w scheme ~traced ~seed ~nworkers ~dur_ns ~limit =
             Domain.cpu_relax ();
             tt := Span.now ()
           done;
-          Lat.record late (!tt - due)
+          Histogram.record late (!tt - due)
         end;
         exec !i (Array.unsafe_get ops (!i land mask));
         let t1 = Span.now () in
         (* Latency from the op's due time: queueing counts. *)
-        record ~at:due (t1 - due);
+        record ~at:due ~t1 (t1 - due);
         S.poll ctx;
         t := t1;
         incr i
@@ -309,7 +331,7 @@ let run w scheme ~traced ~seed ~nworkers ~dur_ns ~limit =
         let t0 = Span.now () in
         exec !i (Array.unsafe_get ops (!i land mask));
         let t1 = Span.now () in
-        record ~at:t0 (t1 - t0);
+        record ~at:t0 ~t1 (t1 - t0);
         S.poll ctx;
         t := t1;
         incr i
@@ -350,12 +372,8 @@ let run w scheme ~traced ~seed ~nworkers ~dur_ns ~limit =
       t_minor_words = mw1 -. mw0;
       t_spans = spans;
       t_lat = lat;
+      t_done = done_;
       t_late = late;
-      t_wstart =
-        (for i = !win + 1 to nwin do
-           wstart.(i) <- Lat.count lat
-         done;
-         wstart);
     }
   in
   (* Worker 0 runs on the main domain. A domain blocked in
@@ -406,27 +424,13 @@ let run w scheme ~traced ~seed ~nworkers ~dur_ns ~limit =
       Some { count; sum = sum_ns; self_sum = !self }
     end
   in
-  let windows =
-    Array.init (nwin * nworkers) (fun j ->
-        let t = tallies.(j mod nworkers) and i = j / nworkers in
-        let s = Lat.sorted [ (t.t_lat, t.t_wstart.(i), t.t_wstart.(i + 1)) ] in
-        let n = Array.length s in
-        {
-          w_p50_ns = Lat.quantile s 0.5;
-          w_tail_ns = Lat.quantile s tail_q;
-          w_max_ns = Lat.quantile s 1.0;
-          w_samples = n;
-          w_beyond = Lat.beyond n tail_q;
-        })
-  in
+  let windows = Array.init (nwin * nworkers) (fun j -> tallies.(j mod nworkers).t_lat.(j / nworkers)) in
   let window_mops =
-    Array.init nwin (fun i ->
-        fi (sum (fun t -> t.t_wstart.(i + 1) - t.t_wstart.(i))) /. (fi win_ns *. 1e-3))
+    Array.init nwin (fun i -> fi (sum (fun t -> t.t_done.(i))) /. (fi win_ns *. 1e-3))
   in
-  let late = Lat.sorted (List.init nworkers (fun tid -> Lat.all tallies.(tid).t_late)) in
+  let late = merged (List.init nworkers (fun tid -> tallies.(tid).t_late)) in
   let rlat =
-    if traced then Lat.sorted (List.init nworkers (fun tid -> Lat.all Span.bufs.(tid).retire_lat))
-    else [||]
+    merged (if traced then List.init nworkers (fun tid -> Span.bufs.(tid).retire_lat) else [])
   in
   {
     scheme;
@@ -437,7 +441,10 @@ let run w scheme ~traced ~seed ~nworkers ~dur_ns ~limit =
     elapsed_s = float_of_int (Array.fold_left (fun a t -> max a t.t_elapsed) 0 tallies) *. 1e-9;
     windows;
     window_mops;
-    late_p99_ns = Lat.quantile late 0.99;
+    late_p99_ns =
+      (if not open_loop then 0.0
+       else if Histogram.count late = 0 then Float.nan
+       else fi (Histogram.quantile late 0.99));
     upd_att = sum (fun t -> t.t_att);
     upd_ok = sum (fun t -> t.t_ok);
     minor_words = Array.fold_left (fun a t -> a +. t.t_minor_words) 0.0 tallies;
@@ -446,6 +453,6 @@ let run w scheme ~traced ~seed ~nworkers ~dur_ns ~limit =
     stats1 = !stats1;
     spans;
     verified = !verified;
-    retire_tail_ns = Lat.quantile rlat (Lat.tail_q (Array.length rlat));
+    retire_lat = rlat;
     failure = (match !failures with [] -> None | l -> Some (String.concat "; " (List.rev l)));
   }

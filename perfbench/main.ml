@@ -2,42 +2,41 @@
    three workloads, end to end (tracing off) and per layer (tracing on).
 
    main.exe --workload list-read|table-churn|kv-zipf --seed N
-            --seconds S --trace 0|1 [--rounds R]
+            --seconds S --trace 0|1
    main.exe --self-test
 
-   One run measures [--seconds] in total: [rounds] rounds (default: the
-   workload's), each running every scheme once (and, traced, once more
-   with the traced scheme) in an order that rotates from round to round,
-   so host drift hits all schemes alike. Each cell gets a fresh
-   structure. Throughput is the median over latency windows; set-up
-   time is the median and peak garbage the mean over cells; latency quantiles are taken per
-   worker-window, p50 as the median and the tail as the lower quartile
-   over all worker-windows.
+   One run measures [--seconds] in total: the workload's rounds, each
+   running every scheme once (and, traced, once more with the traced
+   scheme) in an order that rotates from round to round, so host drift
+   hits all schemes alike. Each cell gets a fresh structure. Throughput
+   and latency quantiles are taken per window (latency per worker) and
+   reported as the mean of the middle half of a scheme's windows (the
+   tail: their median); set-up time is the median over rounds and peak
+   garbage the mid-mean over cells.
    The last line of standard output is the result object; the line
    before it is the provenance. Normally run through run.py, which
    builds this program and checks the metric names against
    BENCHMARK.json. *)
 
+open Pop_runtime
 open Pop_harness
 
 let pop_schemes = Dispatch.[ EPOCHPOP; HPPOP; HEPOP ]
 
 let sname = Dispatch.smr_name
 
+(* Empty inputs and zero denominators give nan, which prints as null
+   and fails the run's check: a broken cell must not read as the best
+   result. *)
 let median = function
-  | [] -> 0.0
+  | [] -> Float.nan
   | xs ->
       let a = Array.of_list xs in
       Array.sort compare a;
       let n = Array.length a in
       if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-let lower_quartile xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  if a = [||] then 0.0 else a.(Array.length a / 4)
-
-let ratio a b = if b = 0.0 then 0.0 else a /. b
+let ratio a b = if b = 0.0 then Float.nan else a /. b
 
 let fi = float_of_int
 
@@ -51,7 +50,7 @@ let delta (c : Cell.result) name = fi (stat c.stats1 name - stat c.stats0 name)
 
 let mops (c : Cell.result) = fi c.ops /. c.elapsed_s /. 1e6
 
-let json_num x = if Float.is_finite x then Printf.sprintf "%.17g" x else "0"
+let json_num x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
 
 let json_str s = Printf.sprintf "%S" s
 
@@ -83,7 +82,24 @@ let mix_string (w : Cell.workload) =
    directory. *)
 let out_dir = ".perfbench_out"
 
-let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
+(* Quantile [q] of a non-empty histogram, in microseconds. *)
+let q_us q h = fi (Histogram.quantile h q) /. 1e3
+
+let nonempty hs = List.filter (fun h -> Histogram.count h > 0) hs
+
+let mean = function [] -> Float.nan | xs -> List.fold_left ( +. ) 0.0 xs /. fi (List.length xs)
+
+(* The mean of the middle half: as robust as the median to the windows
+   a host stall wrecks, and it does not snap to one histogram bucket
+   bound (6.25% apart) the way a median of bucket bounds does. *)
+let midmean xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  mean (Array.to_list (Array.sub a (n / 4) (n - (2 * (n / 4)))))
+
+let run_workload (w : Cell.workload) ~seed ~seconds ~trace =
+  let rounds = w.rounds in
   (* Traced runs pair every untraced cell with a traced one, in
      alternating order. *)
   let modes r =
@@ -108,15 +124,15 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
         List.iter
           (fun traced ->
             let c = Cell.run w s ~traced ~seed ~nworkers:Cell.workers ~dur_ns ~limit:max_int in
-            let wmed f = median (Array.to_list (Array.map f c.windows)) in
+            let ws = nonempty (Array.to_list c.windows) in
+            let wmed q = median (List.map (q_us q) ws) in
             Printf.eprintf
               "%s r%d %-9s %s setup %.3fs  %.4f Mops  p50 %.2fus  tail %.2fus  max %.2fus  peak %d%s\n%!"
               w.name r (sname s)
               (if traced then "traced  " else "untraced")
               c.setup_s (mops c)
-              (wmed (fun x -> fi x.Cell.w_p50_ns /. 1e3))
-              (wmed (fun x -> fi x.w_tail_ns /. 1e3))
-              (Array.fold_left (fun a x -> max a (fi x.Cell.w_max_ns /. 1e3)) 0.0 c.windows)
+              (wmed 0.5) (wmed w.tail_pct)
+              (List.fold_left (fun a h -> Float.max a (q_us 1.0 h)) 0.0 ws)
               c.stats1.Pop_core.Smr_stats.max_unreclaimed
               (match c.failure with None -> "" | Some m -> "  FAILED: " ^ m);
             (match dump with Some oc when traced && r = 0 -> dump_spans oc c | _ -> ());
@@ -132,14 +148,13 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
       results
   in
   let med f s = median (List.map f (cells s false)) in
-  (* One value per worker-window of the scheme's untraced cells. *)
-  let wvals f s =
-    List.concat_map
-      (fun (c : Cell.result) -> Array.to_list (Array.map f c.windows))
-      (cells s false)
+  (* The non-empty worker-windows of the scheme's untraced cells. *)
+  let wins s =
+    nonempty (List.concat_map (fun (c : Cell.result) -> Array.to_list c.windows) (cells s false))
   in
-  let p50_us s = median (wvals (fun x -> fi x.Cell.w_p50_ns /. 1e3) s) in
-  let late_us s = med (fun c -> fi c.late_p99_ns /. 1e3) s in
+  let p50_us s = midmean (List.map (q_us 0.5) (wins s)) in
+  let tail_us s = median (List.map (q_us w.tail_pct) (wins s)) in
+  let late_us s = med (fun c -> c.late_p99_ns /. 1e3) s in
   let metrics = ref [] in
   let add name unit v = metrics := (name, unit, v) :: !metrics in
   if not trace then begin
@@ -149,36 +164,27 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
               List.fold_left
                 (fun a (r', (c : Cell.result)) -> if r' = r then a +. c.setup_s else a)
                 0.0 results)));
-    (* Median over the latency windows of all cells: a window the host
-       stalled completes fewer ops, and in noisy phases stalls take a
-       large share of a whole cell. *)
+    (* Mid-mean over the windows of all cells: a window the host stalled
+       completes fewer ops, and in noisy phases stalls take a large share
+       of a whole cell. Ops count in the window they complete in, so on
+       the open loop a scheme that falls behind its arrivals shows. *)
     List.iter
       (fun s ->
         add ("mops." ^ sname s) "Mops"
-          (median
+          (midmean
              (List.concat_map (fun (c : Cell.result) -> Array.to_list c.window_mops) (cells s false))))
       Cell.schemes;
     List.iter (fun s -> add ("p50_us." ^ sname s) "us" (p50_us s)) Cell.schemes;
-    (* The tail of a quiet window: the lower quartile over worker-windows
-       of the window's p99. The host stalls a spinning vCPU for 0.2-17 ms
-       several times a second; in the open loop each stall puts hundreds
-       of ops past p99 in its window, and in noisy phases most windows
-       hold one, which a median would report instead of the program. *)
+    (* Mid-mean over cells of each cell's peak: a cell ends at one of two
+       levels (epoch-pop on table-churn: 1024, or ~1350 when a host stall
+       held a worker's epoch back), about half of them at each, which a
+       median flips between; and now and then one cell's stall holds
+       he-pop's eras back long enough to add a few hundred nodes. *)
     List.iter
       (fun s ->
-        add ("tail_us." ^ sname s) "us"
-          (lower_quartile (wvals (fun x -> fi x.Cell.w_tail_ns /. 1e3) s)))
-      Cell.schemes;
-    (* Mean over cells: a cell ends at one of two levels (epoch-pop on
-       table-churn: 1024, or ~1350 when a stalled worker held the epoch
-       back), about half of them at each, which a median flips between. *)
-    List.iter
-      (fun s ->
-        let cs = cells s false in
-        let sum =
-          List.fold_left (fun a (c : Cell.result) -> a +. fi c.stats1.max_unreclaimed) 0.0 cs
-        in
-        add ("peak_garbage." ^ sname s) "nodes" (sum /. fi (List.length cs)))
+        add ("peak_garbage." ^ sname s) "nodes"
+          (midmean
+             (List.map (fun (c : Cell.result) -> fi c.stats1.max_unreclaimed) (cells s false))))
       pop_schemes
   end
   else begin
@@ -197,7 +203,7 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
         let k_count k = total (fun (c : Cell.result) -> fi (Option.get c.spans).count.(k)) tc in
         let k_sum k = total (fun (c : Cell.result) -> fi (Option.get c.spans).sum.(k)) tc in
         let t_ops = total (fun (c : Cell.result) -> fi c.ops) tc in
-        let mean_ns k = max 0.0 (ratio (k_sum k) (k_count k) -. span_ns) in
+        let mean_ns k = Float.max 0.0 (ratio (k_sum k) (k_count k) -. span_ns) in
         add ("ds.op_ns." ^ n) "ns" (ratio (k_sum Span.op) (k_count Span.op));
         let self_sum = total (fun (c : Cell.result) -> fi (Option.get c.spans).self_sum) tc in
         add ("ds.self_ns." ^ n) "ns" (ratio self_sum (k_count Span.op));
@@ -206,14 +212,19 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
         add ("smr.checks_per_op." ^ n) "count" (ratio (k_count Span.check) t_ops);
         add ("smr.check_ns." ^ n) "ns" (mean_ns Span.check);
         add ("smr.bracket_ns." ^ n) "ns"
-          (max 0.0
+          (Float.max 0.0
              (ratio (k_sum Span.start_op +. k_sum Span.end_op) (k_count Span.start_op)
              -. (2.0 *. span_ns)));
         add ("smr.alloc_ns." ^ n) "ns" (mean_ns Span.alloc);
         add ("smr.allocs_per_op." ^ n) "count" (ratio (k_count Span.alloc) t_ops);
         add ("smr.retire_ns." ^ n) "ns" (mean_ns Span.retire);
+        (* Over all of the scheme's traced cells: a pass runs inside
+           about one retire in 500, and one kv-zipf cell holds only
+           about 1500 retires, too few for a percentile that sees it. *)
+        let rlat = Cell.merged (List.map (fun (c : Cell.result) -> c.retire_lat) tc) in
+        let nr = Histogram.count rlat in
         add ("smr.retire_tail_ns." ^ n) "ns"
-          (median (List.map (fun (c : Cell.result) -> fi c.retire_tail_ns) tc));
+          (if nr = 0 then Float.nan else fi (Histogram.quantile rlat (Cell.tail_q nr)));
         add ("smr.poll_ns." ^ n) "ns" (mean_ns Span.poll);
         (* Counts from the untraced cells of this run. *)
         let u_kops = total (fun (c : Cell.result) -> fi c.ops) uc /. 1e3 in
@@ -232,6 +243,12 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
         add ("gc.minor_gcs_per_kop." ^ n) "count/kop"
           (ratio (total (fun (c : Cell.result) -> fi c.minor_gcs) uc) u_kops);
         add ("gen.late_p99_us." ^ n) "us" (late_us s);
+        (* Per layer, not end to end: on a 2-vCPU VM the host stops a
+           spinning vCPU for 20-200 us hundreds of times a second and for
+           milliseconds several times a second, so every window long
+           enough to hold a reclamation pass also holds host stalls, and
+           this tail moves 2-10x between runs of the same code. *)
+        add ("tail_us." ^ n) "us" (tail_us s);
         add ("trace.overhead." ^ n) "ratio"
           (1.0 -. ratio (median (List.map mops tc)) (median (List.map mops uc))))
       Cell.schemes
@@ -239,8 +256,8 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
   let metrics = List.rev !metrics in
   (* Lateness flag: the generator must run well inside the latency it
      measures. *)
-  let worst_late = List.fold_left (fun a s -> max a (late_us s)) 0.0 Cell.schemes in
-  let best_p50 = List.fold_left (fun a s -> min a (p50_us s)) infinity Cell.schemes in
+  let worst_late = List.fold_left (fun a s -> Float.max a (late_us s)) 0.0 Cell.schemes in
+  let best_p50 = List.fold_left (fun a s -> Float.min a (p50_us s)) infinity Cell.schemes in
   let late_flag = w.rate > 0.0 && worst_late > best_p50 in
   if late_flag then
     Printf.eprintf "%s: generator lateness p99 %.2fus exceeds a scheme's p50 %.2fus\n%!" w.name
@@ -266,14 +283,14 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
   let samples =
     List.map
       (fun s ->
-        let ws = List.concat_map (fun (c : Cell.result) -> Array.to_list c.windows) (cells s false) in
-        let min_of f = List.fold_left (fun a x -> min a (f x)) max_int ws in
+        let ws = wins s in
+        let least = List.fold_left (fun a h -> min a (Histogram.count h)) max_int ws in
         ( sname s,
           json_obj
             [
               ("windows", string_of_int (List.length ws));
-              ("per_window_min", string_of_int (min_of (fun x -> x.Cell.w_samples)));
-              ("tail_beyond_min", string_of_int (min_of (fun x -> x.Cell.w_beyond)));
+              ("per_window_min", string_of_int least);
+              ("tail_beyond_min", string_of_int (Cell.beyond least w.tail_pct));
             ] ))
       Cell.schemes
   in
@@ -287,7 +304,7 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace ~rounds =
       ("zipf_theta", json_num w.theta);
       ("loop", json_str (if w.rate > 0.0 then "open" else "closed"));
       ("rate_ops_s", json_num w.rate);
-      ("tail_percentile", json_num Cell.tail_q);
+      ("tail_percentile", json_num w.tail_pct);
       ("window_s", json_num (fi w.window_ns *. 1e-9));
       ("seed", string_of_int seed);
       ("seconds", json_num seconds);
@@ -367,14 +384,13 @@ let self_test () =
 
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 20.0 and trace = ref 0 in
-  let rounds = ref 0 and self = ref false in
+  let self = ref false in
   Arg.parse
     [
       ("--workload", Arg.Set_string workload, "NAME list-read | table-churn | kv-zipf");
       ("--seed", Arg.Set_int seed, "N workload seed");
       ("--seconds", Arg.Set_float seconds, "S measured seconds in total");
       ("--trace", Arg.Set_int trace, "0|1 end-to-end (0) or per-layer (1) metrics");
-      ("--rounds", Arg.Set_int rounds, "R rounds of all schemes (default: the workload's)");
       ("--self-test", Arg.Set self, " run the determinism self-test");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
@@ -386,9 +402,8 @@ let () =
         prerr_endline ("unknown workload: " ^ !workload);
         exit 2
     | Some w ->
-        if !seconds <= 0.0 || !rounds < 0 || (!trace <> 0 && !trace <> 1) then begin
-          prerr_endline "need --seconds > 0, --rounds >= 1 and --trace 0|1";
+        if !seconds <= 0.0 || (!trace <> 0 && !trace <> 1) then begin
+          prerr_endline "need --seconds > 0 and --trace 0|1";
           exit 2
         end;
-        let rounds = if !rounds = 0 then w.rounds else !rounds in
-        run_workload w ~seed:!seed ~seconds:!seconds ~trace:(!trace = 1) ~rounds
+        run_workload w ~seed:!seed ~seconds:!seconds ~trace:(!trace = 1)

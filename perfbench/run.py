@@ -3,19 +3,21 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload list-read --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload kv-zipf --seed 1 --seconds 24 --trace 0
     python3 perfbench/run.py --self-test
 
 Builds perfbench/main.exe with dune, runs it, checks that the metrics it
 prints are exactly those BENCHMARK.json names (end_to_end with --trace 0,
 per_layer with --trace 1), adds the commit to the provenance line and
 prints the result object as the last line of standard output. Exits
-non-zero, without a result, if the build or the name check fails; exits
+non-zero, without a result, if the build or the name check fails or a
+metric has no value (main.exe prints null for it); exits
 non-zero after the result if a cell failed its correctness checks.
 
 --self-test runs the determinism self-test (one worker, fixed seed, run
-twice: per-op counts must repeat exactly) and a short run of every
-workload in both modes, whose metric names must match BENCHMARK.json.
+twice: per-op counts must repeat exactly) and a run of every workload
+in both modes, whose metric names must match BENCHMARK.json and whose
+values must all be numbers.
 """
 
 import argparse
@@ -73,6 +75,10 @@ def check_names(result, trace):
     problems += ["undeclared %s" % k for k in sorted(set(got) - set(want))]
     problems += ["unit of %s is %s, declared %s" % (k, got[k], want[k])
                  for k in sorted(set(want) & set(got)) if got[k] != want[k]]
+    # main.exe prints null where a value could not be measured (an
+    # empty cell, a zero denominator).
+    problems += ["%s has no value" % k for k, v in sorted(result["metrics"].items())
+                 if not isinstance(v.get("value"), (int, float)) or isinstance(v["value"], bool)]
     return problems
 
 
@@ -141,12 +147,17 @@ def self_test():
     print("\n".join(lines))
     ok = code == 0
     with open("BENCHMARK.json") as f:
-        workloads = [w["name"] for w in json.load(f)["workloads"]]
-    for w in workloads:
+        bench = json.load(f)
+    # Runs of the measured length: every cell starts with empty retire
+    # lists, and on kv-zipf a worker reaches its first reclamation pass
+    # only after about 200 ms, so shorter traced cells leave the
+    # per-pass ratios without a value.
+    seconds = str(bench["run_seconds"])
+    for w in [w["name"] for w in bench["workloads"]]:
         for trace in (0, 1):
-            code, lines = run_exe(["--workload", w, "--seed", "7", "--seconds", "2",
-                                   "--rounds", "1", "--trace", str(trace)],
-                                  timeout=RUN_SLACK_S)
+            code, lines = run_exe(["--workload", w, "--seed", "7", "--seconds", seconds,
+                                   "--trace", str(trace)],
+                                  timeout=bench["run_seconds"] + RUN_SLACK_S)
             result = parse_result(lines)
             if result is None:
                 problems = ["no result (exit %d)" % code]

@@ -57,7 +57,7 @@ type buf = {
   mutable dropped : bool;  (** A child of the sampled op did not fit. *)
   recs : int array;  (** [op_id; kind; t0; t1] per record. *)
   mutable nrec : int;
-  retire_lat : Lat.t;  (** Every retire span, for the pass-pause tail. *)
+  retire_lat : Pop_runtime.Histogram.t;  (** Every retire span, for the pass-pause tail. *)
 }
 
 let create () =
@@ -73,7 +73,7 @@ let create () =
     dropped = false;
     recs = Array.make (4 * rec_cap) 0;
     nrec = 0;
-    retire_lat = Lat.create ();
+    retire_lat = Pop_runtime.Histogram.create ();
   }
 
 (* One buffer per thread id the benchmark registers (two workers plus
@@ -92,7 +92,7 @@ let leaf b kind t0 t1 =
   let d = t1 - t0 in
   Array.unsafe_set b.count kind (Array.unsafe_get b.count kind + 1);
   Array.unsafe_set b.sum kind (Array.unsafe_get b.sum kind + d);
-  if kind = retire then Lat.record b.retire_lat d;
+  if kind = retire then Pop_runtime.Histogram.record b.retire_lat d;
   if b.in_op then begin
     b.child <- b.child + d;
     if b.sampled then if b.nrec < rec_cap then push b b.op_id kind t0 t1 else b.dropped <- true
