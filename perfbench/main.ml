@@ -8,11 +8,14 @@
    One run measures [--seconds] in total: the workload's rounds, each
    running every scheme once (and, traced, once more with the traced
    scheme) in an order that rotates from round to round, so host drift
-   hits all schemes alike. Each cell gets a fresh structure. Throughput
-   and latency quantiles are taken per window (latency per worker) and
-   reported as the mean of the middle half of a scheme's windows (the
-   tail: their median); set-up time is the median over rounds and peak
-   garbage the mid-mean over cells.
+   hits all schemes alike. Each cell gets a fresh structure, and each
+   round its own op streams and arrivals, derived from [--seed] and the
+   round. Throughput and latency quantiles are taken per window
+   (latency per worker) and reported as the mean of the middle half of
+   a scheme's windows (the tail: their median); end to end, a POP
+   scheme's p50 is reported over EBR's. Set-up time is the median over
+   rounds, and peak garbage the median over windows of the highest
+   unreclaimed count sampled in the window.
    The last line of standard output is the result object; the line
    before it is the provenance. Normally run through run.py, which
    builds this program and checks the metric names against
@@ -39,6 +42,13 @@ let median = function
 let ratio a b = if b = 0.0 then Float.nan else a /. b
 
 let fi = float_of_int
+
+(* The seed of round [r]'s inputs: a scheme's cells each get their own
+   op streams, not one stream over and over. A cell's garbage depends
+   on its stream (he-pop's whole-cell peak on kv-zipf: ~1300 nodes for
+   one seed, ~1650 for another, on every rerun), so a single stream
+   made a run's figure a property of the seed. *)
+let round_seed seed r = Hashtbl.hash (seed, r)
 
 let rotate r l =
   let n = List.length l in
@@ -98,6 +108,10 @@ let midmean xs =
   let n = Array.length a in
   mean (Array.to_list (Array.sub a (n / 4) (n - (2 * (n / 4)))))
 
+(* The garbage peaks of a cell's windows that hold samples. *)
+let window_peaks (c : Cell.result) =
+  List.filter_map (fun g -> if g >= 0 then Some (fi g) else None) (Array.to_list c.window_garbage)
+
 let run_workload (w : Cell.workload) ~seed ~seconds ~trace =
   let rounds = w.rounds in
   (* Traced runs pair every untraced cell with a traced one, in
@@ -123,17 +137,21 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace =
       (fun s ->
         List.iter
           (fun traced ->
-            let c = Cell.run w s ~traced ~seed ~nworkers:Cell.workers ~dur_ns ~limit:max_int in
+            let c =
+              Cell.run w s ~traced ~seed:(round_seed seed r) ~nworkers:Cell.workers ~dur_ns
+                ~limit:max_int
+            in
             let ws = nonempty (Array.to_list c.windows) in
             let wmed q = median (List.map (q_us q) ws) in
             Printf.eprintf
-              "%s r%d %-9s %s setup %.3fs  %.4f Mops  p50 %.2fus  tail %.2fus  max %.2fus  peak %d%s\n%!"
+              "%s r%d %-9s %s setup %.3fs  %.4f Mops  p50 %.2fus  tail %.2fus  max %.2fus  peak %d  window peak %.0f%s\n%!"
               w.name r (sname s)
               (if traced then "traced  " else "untraced")
               c.setup_s (mops c)
               (wmed 0.5) (wmed w.tail_pct)
               (List.fold_left (fun a h -> Float.max a (q_us 1.0 h)) 0.0 ws)
               c.stats1.Pop_core.Smr_stats.max_unreclaimed
+              (median (window_peaks c))
               (match c.failure with None -> "" | Some m -> "  FAILED: " ^ m);
             (match dump with Some oc when traced && r = 0 -> dump_spans oc c | _ -> ());
             results := (r, c) :: !results)
@@ -155,6 +173,7 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace =
   let p50_us s = midmean (List.map (q_us 0.5) (wins s)) in
   let tail_us s = median (List.map (q_us w.tail_pct) (wins s)) in
   let late_us s = med (fun c -> c.late_p99_ns /. 1e3) s in
+  let peak_garbage s = median (List.concat_map window_peaks (cells s false)) in
   let metrics = ref [] in
   let add name unit v = metrics := (name, unit, v) :: !metrics in
   if not trace then begin
@@ -174,18 +193,23 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace =
           (midmean
              (List.concat_map (fun (c : Cell.result) -> Array.to_list c.window_mops) (cells s false))))
       Cell.schemes;
-    List.iter (fun s -> add ("p50_us." ^ sname s) "us" (p50_us s)) Cell.schemes;
-    (* Mid-mean over cells of each cell's peak: a cell ends at one of two
-       levels (epoch-pop on table-churn: 1024, or ~1350 when a host stall
-       held a worker's epoch back), about half of them at each, which a
-       median flips between; and now and then one cell's stall holds
-       he-pop's eras back long enough to add a few hundred nodes. *)
+    (* A POP scheme's median latency over EBR's in the same run. The
+       absolute p50 on kv-zipf follows the host: an open-loop dgt op is
+       a chain of cache misses whose cost drifts by 10-20% over minutes
+       on a shared host, for all schemes together, so the absolute
+       figure's quartiles over ten runs lay up to 0.26 of the median
+       apart, against 0.03-0.05 for this ratio. The absolute p50s are
+       per-layer metrics. *)
     List.iter
-      (fun s ->
-        add ("peak_garbage." ^ sname s) "nodes"
-          (midmean
-             (List.map (fun (c : Cell.result) -> fi c.stats1.max_unreclaimed) (cells s false))))
-      pop_schemes
+      (fun s -> add ("p50_over_ebr." ^ sname s) "ratio" (ratio (p50_us s) (p50_us Dispatch.EBR)))
+      pop_schemes;
+    (* Median over windows of the window's peak. A cell's own peak
+       follows the one longest stall of the cell: he-pop's cells on
+       table-churn peaked anywhere from 2200 to 7900 nodes, and the
+       mid-mean over ten cells spread 0.11-0.18 between runs, against
+       0.06 for this median. The whole-cell peak is a per-layer
+       metric. *)
+    List.iter (fun s -> add ("peak_garbage." ^ sname s) "nodes" (peak_garbage s)) pop_schemes
   end
   else begin
     let total f cs = List.fold_left (fun a c -> a +. f c) 0.0 cs in
@@ -243,6 +267,9 @@ let run_workload (w : Cell.workload) ~seed ~seconds ~trace =
         add ("gc.minor_gcs_per_kop." ^ n) "count/kop"
           (ratio (total (fun (c : Cell.result) -> fi c.minor_gcs) uc) u_kops);
         add ("gen.late_p99_us." ^ n) "us" (late_us s);
+        add ("p50_us." ^ n) "us" (p50_us s);
+        add ("garbage.cell_max." ^ n) "nodes"
+          (midmean (List.map (fun (c : Cell.result) -> fi c.stats1.max_unreclaimed) uc));
         (* Per layer, not end to end: on a 2-vCPU VM the host stops a
            spinning vCPU for 20-200 us hundreds of times a second and for
            milliseconds several times a second, so every window long
