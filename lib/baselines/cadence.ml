@@ -26,7 +26,8 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
-  row : int array;
+  row : int array; (* the local table; our row starts at [base] *)
+  base : int;
   fence : Fence.cell;
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
@@ -57,12 +58,14 @@ let create cfg hub heap =
 let register g ~tid =
   let port = Softsignal.register g.hub ~tid in
   let nres = g.cfg.max_threads * g.cfg.max_hp in
+  let row, base = Reservations.local_row g.res ~tid in
   let ctx =
     {
       g;
       tid;
       port;
-      row = Reservations.local_row g.res ~tid;
+      row;
+      base;
       fence = Fence.make_cell ();
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:nres;
       counter_scratch = Array.make g.cfg.max_threads 0;
@@ -116,7 +119,7 @@ let poll ctx = Softsignal.poll ctx.port
 let rec read ctx slot addr proj =
   let v = Atomic.get addr in
   let n = proj v in
-  Array.unsafe_set ctx.row slot n.Heap.id;
+  Array.unsafe_set ctx.row (ctx.base + slot) n.Heap.id;
   Softsignal.poll ctx.port;
   if Atomic.get addr == v then v else read ctx slot addr proj
 

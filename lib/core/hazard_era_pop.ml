@@ -20,7 +20,8 @@ type 'a tctx = {
   g : 'a t;
   tid : int;
   port : Softsignal.port;
-  row : int array; (* cached private era row *)
+  row : int array; (* the local table; our row starts at [base] *)
+  base : int;
   fence : Fence.cell;
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
@@ -46,12 +47,14 @@ let create cfg hub heap =
 
 let register g ~tid =
   let port = Softsignal.register g.hub ~tid in
+  let row, base = Reservations.local_row g.res ~tid in
   let ctx =
     {
       g;
       tid;
       port;
-      row = Reservations.local_row g.res ~tid;
+      row;
+      base;
       fence = Fence.make_cell ();
       (* 2x: room for the shared table plus racy local-row copies of
          timed-out peers (the bounded handshake's fallback). *)
@@ -84,11 +87,12 @@ let rec read_from ctx slot addr proj old_era =
   else begin
     (* Era changed mid-read: re-reserve — but privately, with a plain
        store; this is the fence original HE pays and POP does not. *)
-    Array.unsafe_set ctx.row slot e;
+    Array.unsafe_set ctx.row (ctx.base + slot) e;
     read_from ctx slot addr proj e
   end
 
-let read ctx slot addr proj = read_from ctx slot addr proj (Array.unsafe_get ctx.row slot)
+let read ctx slot addr proj =
+  read_from ctx slot addr proj (Array.unsafe_get ctx.row (ctx.base + slot))
 
 let check ctx n = Heap.check_access ctx.g.heap n
 

@@ -1,7 +1,9 @@
+open Pop_runtime
+
 type t = {
   nslots : int;
   none : int;
-  local : int array array; (* row per thread; plain stores *)
+  local : int array; (* Padded_rows table, one row per thread; plain stores *)
   shared : int Atomic.t array array; (* SWMR atomic cells *)
 }
 
@@ -9,7 +11,7 @@ let create ~max_threads ~slots ~none =
   {
     nslots = slots;
     none;
-    local = Array.init max_threads (fun _ -> Array.make slots none);
+    local = Padded_rows.make ~rows:max_threads ~width:slots none;
     shared =
       Array.init max_threads (fun _ -> Array.init slots (fun _ -> Atomic.make none));
   }
@@ -18,20 +20,22 @@ let slots t = t.nslots
 
 let none t = t.none
 
-let set_local t ~tid ~slot v = t.local.(tid).(slot) <- v
+let base t tid = Padded_rows.base ~width:t.nslots tid
 
-let local_row t ~tid = t.local.(tid)
+let set_local t ~tid ~slot v = t.local.(base t tid + slot) <- v
+
+let local_row t ~tid = (t.local, base t tid)
 
 let shared_row t ~tid = t.shared.(tid)
 
-let get_local t ~tid ~slot = t.local.(tid).(slot)
+let get_local t ~tid ~slot = t.local.(base t tid + slot)
 
-let clear_local t ~tid = Array.fill t.local.(tid) 0 t.nslots t.none
+let clear_local t ~tid = Array.fill t.local (base t tid) t.nslots t.none
 
 let publish t ~tid =
-  let row = t.local.(tid) and out = t.shared.(tid) in
+  let b = base t tid and out = t.shared.(tid) in
   for i = 0 to t.nslots - 1 do
-    Atomic.set out.(i) row.(i)
+    Atomic.set out.(i) t.local.(b + i)
   done
 
 let set_shared t ~tid ~slot v = Atomic.set t.shared.(tid).(slot) v
@@ -56,21 +60,15 @@ let collect_shared t scratch =
   !k
 
 let append_local_row t ~tid ~into ~pos =
-  let row = t.local.(tid) in
-  let k = ref pos in
+  let b = base t tid in
   for i = 0 to t.nslots - 1 do
-    into.(!k) <- row.(i);
-    incr k
+    into.(pos + i) <- t.local.(b + i)
   done;
-  !k
+  pos + t.nslots
 
 let collect_local t scratch =
   let k = ref 0 in
-  for tid = 0 to Array.length t.local - 1 do
-    let row = t.local.(tid) in
-    for i = 0 to t.nslots - 1 do
-      scratch.(!k) <- row.(i);
-      incr k
-    done
+  for tid = 0 to Array.length t.shared - 1 do
+    k := append_local_row t ~tid ~into:scratch ~pos:!k
   done;
   !k

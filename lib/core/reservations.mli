@@ -7,7 +7,11 @@
 
     - the {e local} table: plain (unfenced) writes, readable only by the
       owner — except for the membarrier-style HPAsym scheme, which reads
-      peers' local rows racily after a barrier round;
+      peers' local rows racily after a barrier round. It is one flat
+      [int array] laid out by [Pop_runtime.Padded_rows]: rows sit at a
+      constant stride with a pad row at each end, so the owner's
+      per-read store never touches a line another thread reads or
+      writes, before or after the GC moves the table;
     - the {e shared} table: single-writer multi-reader atomic cells, the
       [sharedReservations] array of Algorithms 1–5.
 
@@ -30,9 +34,15 @@ val none : t -> int
 val set_local : t -> tid:int -> slot:int -> int -> unit
 (** Plain store; no fence. The traversal-path write of POP. *)
 
-val local_row : t -> tid:int -> int array
-(** The owner's private row, for hot read paths that cache it in their
-    thread context and write slots directly (always [slots] long). *)
+val local_row : t -> tid:int -> int array * int
+(** [(table, base)]: the whole local table and the offset of [tid]'s
+    row in it, for hot read paths that cache both in their thread
+    context and write slot [s] directly at [table.(base + s)]. The
+    table is shared by every thread; only [table.(base) ..
+    table.(base + slots - 1)] belong to [tid], and the owner must write
+    nothing else. [base] is [Padded_rows.base ~width:slots tid], so it
+    is at least [Padded_rows.line_words] words from every other row
+    and from either end of the table. *)
 
 val shared_row : t -> tid:int -> int Atomic.t array
 (** The owner's shared row, cached by eager (HP/HE) read paths. *)

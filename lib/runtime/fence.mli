@@ -17,7 +17,10 @@
     it to 0 disables the model). The ablation bench sweeps this knob. *)
 
 type cell
-(** A per-thread fence target (own cache line; never contended). *)
+(** A per-thread fence target, written only by its owner. It starts on
+    its own cache line, but the padding that keeps it there is dropped
+    when the minor GC promotes it, after which it may share a line with
+    other small blocks (see {!Striped}). *)
 
 val make_cell : unit -> cell
 

@@ -8,7 +8,7 @@ type faults = {
 type t = {
   pending : Striped.t; (* 0 = clear, 1 = pinged *)
   active : Striped.t; (* 0 = dead, 1 = alive *)
-  heartbeats : Striped.t; (* bumped on every poll; failure-detector input *)
+  heartbeats : int array; (* Padded_rows of width 1; plain stores, owner only *)
   handlers : (unit -> unit) array;
   sent : int Atomic.t;
   runs : int Atomic.t;
@@ -21,7 +21,7 @@ type port = {
   hub : t;
   id : int;
   my_pending : int Atomic.t;
-  my_heartbeat : int Atomic.t;
+  my_heartbeat : int; (* offset of this slot in [hub.heartbeats] *)
 }
 
 let no_handler () = ()
@@ -30,7 +30,7 @@ let create ~max_threads =
   {
     pending = Striped.create max_threads;
     active = Striped.create max_threads;
-    heartbeats = Striped.create max_threads;
+    heartbeats = Padded_rows.make ~rows:max_threads ~width:1 0;
     handlers = Array.make max_threads no_handler;
     sent = Atomic.make 0;
     runs = Atomic.make 0;
@@ -61,6 +61,8 @@ let max_threads t = Striped.length t.pending
 
 let is_active t id = Striped.get t.active id = 1
 
+let heartbeat_offset id = Padded_rows.base ~width:1 id
+
 let register t ~tid =
   if tid < 0 || tid >= max_threads t then invalid_arg "Softsignal.register: tid out of range";
   if is_active t tid then invalid_arg "Softsignal.register: slot already active";
@@ -68,14 +70,10 @@ let register t ~tid =
   Striped.set t.pending tid 0;
   (* A fresh registrant starts from a moved heartbeat so a detector that
      quarantined the slot's previous (crashed) occupant re-probes it. *)
-  Striped.incr t.heartbeats tid;
+  let my_heartbeat = heartbeat_offset tid in
+  t.heartbeats.(my_heartbeat) <- t.heartbeats.(my_heartbeat) + 1;
   Striped.set t.active tid 1;
-  {
-    hub = t;
-    id = tid;
-    my_pending = Striped.cell t.pending tid;
-    my_heartbeat = Striped.cell t.heartbeats tid;
-  }
+  { hub = t; id = tid; my_pending = Striped.cell t.pending tid; my_heartbeat }
 
 let set_handler p f = p.hub.handlers.(p.id) <- f
 
@@ -102,11 +100,14 @@ let ping_all t ~self =
 let poll p =
   (* Heartbeat first: a poll that finds no pending ping must still be
      visible to the failure detector, which distinguishes "slow to ack"
-     from "stopped polling entirely". Single writer per slot, so a plain
-     read-increment-write on the atomic cell suffices. *)
-  Atomic.set p.my_heartbeat (Atomic.get p.my_heartbeat + 1);
+     from "stopped polling entirely". Single writer per slot (the
+     occupant), so a plain read-increment-write is exact; no fence, as
+     the detector reads it racily and its safety never depends on the
+     value (see Handshake). This is the whole no-ping path: a plain
+     store to a line-private word and a plain load of the flag. *)
+  let t = p.hub and at = p.my_heartbeat in
+  Array.unsafe_set t.heartbeats at (Array.unsafe_get t.heartbeats at + 1);
   if Atomic.get p.my_pending = 1 then begin
-    let t = p.hub in
     match t.faults with
     | Some f when f.delay_poll > 0.0 && draw f < f.delay_poll ->
         (* Delivery deferred: the flag stays up for a later poll. *)
@@ -132,7 +133,9 @@ let deregister p =
   Atomic.set p.my_pending 0;
   p.hub.handlers.(p.id) <- no_handler
 
-let heartbeat t id = Striped.get t.heartbeats id
+let heartbeat t id =
+  if id < 0 || id >= max_threads t then invalid_arg "Softsignal.heartbeat: tid out of range";
+  t.heartbeats.(heartbeat_offset id)
 
 let pings_sent t = Atomic.get t.sent
 

@@ -72,7 +72,20 @@ val heartbeat : t -> int -> int
     bumps it once when a new occupant claims the slot. A failure
     detector that sees the counter unchanged across several timeout
     rounds may treat the thread as crashed; any movement proves the
-    occupant is still polling (or was replaced). *)
+    occupant is still polling (or was replaced).
+
+    The bumps are plain stores by the slot's occupant, not atomics:
+    {!poll} runs on every protected read, and a fenced store there is
+    the per-read cost publish-on-ping exists to remove. A plain store
+    becomes visible to other domains within the store buffer's drain
+    time, which is all a detector counting whole timeout rounds needs;
+    a stale read can only delay or hasten a quarantine, never break
+    safety (see [Pop_core.Handshake]). *)
+
+val heartbeat_offset : int -> int
+(** Word offset of slot [tid]'s heartbeat in the hub's heartbeat
+    table, a {!Padded_rows} table of width 1: every slot's word is
+    line-private. Exposed for layout tests. *)
 
 val pings_sent : t -> int
 (** Total pings delivered through this hub (for stats). *)

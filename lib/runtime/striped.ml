@@ -2,7 +2,10 @@ type t = int Atomic.t array
 
 (* Allocate a junk block between consecutive atomics so the 2-word atomic
    records land on distinct cache lines (a 14-word block + headers spans
-   more than 64 bytes on amd64). *)
+   more than 64 bytes on amd64) -- but only while they sit in the minor
+   heap. Promotion copies live blocks only, so the dead junk is dropped
+   and the cells end up packed together in one major-heap size class:
+   three cells can share a single 64-byte line after a major GC. *)
 let create n =
   Array.init n (fun _ ->
       let cell = Atomic.make 0 in

@@ -3,8 +3,12 @@
     A plain [int Atomic.t array] places the atomic cells next to each other
     on the heap, so two threads incrementing adjacent slots ping-pong the
     same cache line. [Striped] spaces the cells out by allocating padding
-    blocks between them, which is the closest OCaml gets to cache-line
-    alignment without C stubs. *)
+    blocks between them. That spacing holds only until the cells are
+    promoted: the minor GC copies the live cells and drops the dead
+    padding, so in the major heap adjacent cells share a line again.
+    Cells written on every protected read therefore live in a
+    {!Padded_rows} table instead (see DESIGN.md, "Per-thread layout");
+    [Striped] remains for per-operation counters and flags. *)
 
 type t
 (** A fixed-size array of single-writer multi-reader counters. *)

@@ -160,13 +160,87 @@ let reservations_collect () =
   Alcotest.(check int) "local racy view" 99 scratch.(2)
 
 let reservations_rows_are_views () =
-  let r = Reservations.create ~max_threads:1 ~slots:2 ~none:0 in
-  let row = Reservations.local_row r ~tid:0 in
-  row.(0) <- 5;
+  let r = Reservations.create ~max_threads:2 ~slots:2 ~none:0 in
+  let tbl, b0 = Reservations.local_row r ~tid:0 in
+  let tbl', b1 = Reservations.local_row r ~tid:1 in
+  Alcotest.(check bool) "one table for every thread" true (tbl == tbl');
+  tbl.(b0) <- 5;
+  tbl.(b1 + 1) <- 7;
   Alcotest.(check int) "row aliases table" 5 (Reservations.get_local r ~tid:0 ~slot:0);
+  Alcotest.(check int) "row at its own base" 7 (Reservations.get_local r ~tid:1 ~slot:1);
+  Alcotest.(check int) "neighbour untouched" 0 (Reservations.get_local r ~tid:0 ~slot:1);
+  Reservations.clear_local r ~tid:1;
+  Alcotest.(check int) "clear goes through the view" 0 tbl.(b1 + 1);
+  Alcotest.(check int) "clear keeps other rows" 5 tbl.(b0);
   let srow = Reservations.shared_row r ~tid:0 in
   Atomic.set srow.(1) 6;
   Alcotest.(check int) "shared row aliases" 6 (Reservations.get_shared r ~tid:0 ~slot:1)
+
+(* Every per-thread cell written on the read path is line-private:
+   thread t's heartbeat word and reservation row lie at least 128 bytes
+   from every other thread's. Both tables are single flat arrays, which
+   the GC moves as a unit, so the distances are properties of the
+   offsets; the check reruns after a full major GC and a compaction,
+   and the views cached at registration must still alias the tables. *)
+let per_thread_cells_line_private () =
+  let n = 4 and slots = 3 in
+  let hub = Softsignal.create ~max_threads:n in
+  let r = Reservations.create ~max_threads:n ~slots ~none:(-1) in
+  let ports = Array.init n (fun tid -> Softsignal.register hub ~tid) in
+  let views = Array.init n (fun tid -> Reservations.local_row r ~tid) in
+  let bytes w = w * (Sys.word_size / 8) in
+  let check_layout phase =
+    let tbl = fst views.(0) in
+    let row tid =
+      let t', b = Reservations.local_row r ~tid in
+      Alcotest.(check bool) (phase ^ ": one shared table") true (t' == tbl);
+      Alcotest.(check int) (phase ^ ": cached base unchanged") (snd views.(tid)) b;
+      List.init slots (fun s -> b + s)
+    in
+    for t = 0 to n - 1 do
+      List.iter
+        (fun w ->
+          Alcotest.(check bool) (phase ^ ": row clear of the table ends") true
+            (bytes w >= 128 && bytes (Array.length tbl - 1 - w) >= 128))
+        (row t);
+      Alcotest.(check bool) (phase ^ ": heartbeat clear of the table start") true
+        (bytes (Softsignal.heartbeat_offset t) >= 128);
+      for u = 0 to n - 1 do
+        if t <> u then begin
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: heartbeats %d/%d" phase t u)
+            true
+            (bytes (abs (Softsignal.heartbeat_offset t - Softsignal.heartbeat_offset u)) >= 128);
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: rows %d/%d" phase t u)
+                    true
+                    (bytes (abs (a - b)) >= 128))
+                (row u))
+            (row t)
+        end
+      done
+    done;
+    (* The cached views still write the live cells. *)
+    Array.iteri
+      (fun tid (tbl, b) ->
+        tbl.(b + 2) <- 100 + tid;
+        Alcotest.(check int) (phase ^ ": view aliases row") (100 + tid)
+          (Reservations.get_local r ~tid ~slot:2);
+        let hb = Softsignal.heartbeat hub tid in
+        Softsignal.poll ports.(tid);
+        Alcotest.(check int) (phase ^ ": poll bumps its own heartbeat") (hb + 1)
+          (Softsignal.heartbeat hub tid))
+      views
+  in
+  check_layout "fresh";
+  Gc.full_major ();
+  check_layout "after full_major";
+  Gc.compact ();
+  check_layout "after compact"
 
 (* --- Handshake --- *)
 
@@ -317,6 +391,27 @@ let handshake_deaf_peer_times_out () =
   Alcotest.(check int) "peer gone, no timeout" 0 t;
   Alcotest.(check bool) "flag cleared" false timed_out.(1)
 
+(* A peer quarantined for a frozen heartbeat is lifted as soon as it
+   polls again. The poll runs in another domain: the detector must see
+   the plain heartbeat store from there. *)
+let handshake_quarantine_lifted_by_poll () =
+  let hub = Softsignal.create ~max_threads:2 in
+  let p0 = Softsignal.register hub ~tid:0 in
+  let p1 = Softsignal.register hub ~tid:1 in
+  let hs = Handshake.create ~timeout_spins:4 ~suspect_after:2 hub in
+  Softsignal.set_handler p1 (fun () -> Handshake.ack hs ~tid:1);
+  let timed_out = Array.make 2 false in
+  let round () = Handshake.ping_and_wait hs ~port:p0 ~scratch:(Array.make 2 0) ~timed_out in
+  (* p1 never polls: its heartbeat is frozen, so two timeouts quarantine it. *)
+  Alcotest.(check int) "first timeout" 1 (round ());
+  Alcotest.(check int) "second timeout" 1 (round ());
+  Alcotest.(check bool) "quarantined" true (Handshake.suspected hs 1);
+  Alcotest.(check int) "one suspect" 1 (Handshake.suspect_count hs);
+  Domain.join (Domain.spawn (fun () -> Softsignal.poll p1));
+  ignore (round ());
+  Alcotest.(check bool) "lifted after the peer polled" false (Handshake.suspected hs 1);
+  Alcotest.(check bool) "pinged again, not skipped" true (Softsignal.pending p1)
+
 (* Fault injection end to end: with every ping dropped, a perfectly
    responsive peer still cannot ack, so the round must time out instead
    of spinning forever. *)
@@ -435,6 +530,7 @@ let suite =
     case "reservations: local vs shared vs publish" reservations_local_shared;
     case "reservations: collect row-major" reservations_collect;
     case "reservations: rows are live views" reservations_rows_are_views;
+    case "heartbeats and reservation rows are line-private" per_thread_cells_line_private;
     case "handshake: no active peers" handshake_skips_inactive;
     case "handshake: cross-domain ack rounds" handshake_cross_domain;
     case "handshake: concurrent reclaimers coalesce" handshake_concurrent_reclaimers;
@@ -442,6 +538,7 @@ let suite =
     case "handshake: late registration is not waited on" handshake_late_registration;
     case "handshake: deaf peer times out" handshake_deaf_peer_times_out;
     case "handshake: dropped pings time out" handshake_dropped_pings_time_out;
+    case "handshake: quarantined peer lifted once it polls" handshake_quarantine_lifted_by_poll;
     case "smr_config: validation" config_validation;
     case "counters: snapshot arithmetic" counters_snapshot;
     case "smr_stats: pp" stats_pp_smoke;

@@ -166,6 +166,98 @@ let era_per_node () =
   Alcotest.(check bool) "unrelated scheme code accepted" false
     (flags "era-per-node" "lib/baselines/hazard_eras.ml" "let e = Id_set.mem snap n.id")
 
+(* Fixtures shaped like the real read path and poll; the arguments
+   replace the reservation store and the heartbeat bump. *)
+let read_fixture store =
+  String.concat "\n"
+    [
+      "let rec read ctx slot addr proj =";
+      "  let v = Atomic.get addr in";
+      "  let n = proj v in";
+      "  " ^ store ^ ";";
+      "  Softsignal.poll ctx.port;";
+      "  if Atomic.get addr == v then v else read ctx slot addr proj";
+    ]
+
+let poll_fixture ?(after = "") bump =
+  String.concat "\n"
+    [
+      "let poll p =";
+      "  " ^ bump ^ ";";
+      "  if Atomic.get p.my_pending = 1 then begin";
+      "    match t.faults with";
+      "    | Some f -> Atomic.incr t.delayed";
+      "    | _ ->";
+      "        Atomic.set p.my_pending 0;";
+      "        t.handlers.(p.id) ()";
+      "  end" ^ after;
+      "";
+      "let pending p = Atomic.get p.my_pending = 1";
+    ]
+
+let read_path_rmw () =
+  let plain = read_fixture "Array.unsafe_set ctx.row (ctx.base + slot) n.Heap.id" in
+  let fenced = read_fixture "Atomic.set ctx.cells.(slot) n.Heap.id" in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ ": plain reservation accepted") false
+        (flags "read-path-rmw" path plain);
+      Alcotest.(check bool) (path ^ ": injected Atomic.set flagged") true
+        (flags "read-path-rmw" path fenced))
+    [ "lib/core/hazard_ptr_pop.ml"; "lib/core/hazard_era_pop.ml"; "lib/core/epoch_pop.ml" ];
+  Alcotest.(check (list (pair string int)))
+    "flagged on the store's line" [ ("read-path-rmw", 4) ]
+    (rules_of "lib/core/hazard_ptr_pop.ml" fenced);
+  Alcotest.(check bool) "read_from is a read binding too" true
+    (flags "read-path-rmw" "lib/core/hazard_era_pop.ml"
+       "let rec read_from ctx slot addr proj e =\n  Fence.execute ctx.fence 1;\n  e");
+  Alcotest.(check bool) "other bindings of the scheme may fence" false
+    (flags "read-path-rmw" "lib/core/epoch_pop.ml"
+       "let start_op ctx =\n  Atomic.set ctx.my_epoch 1;\n  Fence.execute ctx.fence 1");
+  Alcotest.(check bool) "a binding ends at the next column-0 phrase" false
+    (flags "read-path-rmw" "lib/core/hazard_ptr_pop.ml"
+       (plain ^ "\n\nlet check ctx n =\n  Striped.incr ctx.g.c 0"));
+  Alcotest.(check bool) "baselines are out of scope" false
+    (flags "read-path-rmw" "lib/baselines/hp.ml" fenced);
+  let soft = "lib/runtime/softsignal.ml" in
+  Alcotest.(check bool) "poll: plain bump, fenced ping branch accepted" false
+    (flags "read-path-rmw" soft (poll_fixture "t.hb.(at) <- t.hb.(at) + 1"));
+  Alcotest.(check bool) "poll: atomic heartbeat on the no-ping path flagged" true
+    (flags "read-path-rmw" soft (poll_fixture "Atomic.set p.hb (Atomic.get p.hb + 1)"));
+  Alcotest.(check bool) "poll: attributes do not hide the binding" true
+    (flags "read-path-rmw" soft
+       ("let[@inline] poll p =\n  Atomic.incr p.hb;\n  if Atomic.get p.my_pending = 1 then serve p"));
+  Alcotest.(check bool) "poll: striped bump flagged" true
+    (flags "read-path-rmw" soft (poll_fixture "Striped.incr t.heartbeats p.id"));
+  Alcotest.(check bool) "poll: code after the ping branch is no-ping path" true
+    (flags "read-path-rmw" soft
+       (poll_fixture ~after:";\n  Atomic.incr t.polls" "t.hb.(at) <- t.hb.(at) + 1"));
+  Alcotest.(check bool) "poll: only the first then opens the ping branch" true
+    (flags "read-path-rmw" soft
+       (poll_fixture ~after:";\n  if p.id = 0 then Atomic.incr t.polls" "t.hb.(at) <- 1"));
+  Alcotest.(check bool) "other softsignal bindings may fence" false
+    (flags "read-path-rmw" soft "let register t ~tid =\n  Striped.set t.active tid 1")
+
+(* The gate holds on the real read paths with no allow.sexp entry. *)
+let read_path_rmw_head_clean () =
+  (* dune copies the declared deps next to the test's build directory. *)
+  let root = Filename.concat (Filename.dirname Sys.executable_name) ".." in
+  let read rel = In_channel.with_open_bin (Filename.concat root rel) In_channel.input_all in
+  List.iter
+    (fun rel ->
+      Alcotest.(check (list (pair string int)))
+        (rel ^ " clean") []
+        (rules_of rel (read rel)
+        |> List.filter (fun (r, _) -> r = "read-path-rmw")))
+    [
+      "lib/core/hazard_ptr_pop.ml"; "lib/core/hazard_era_pop.ml"; "lib/core/epoch_pop.ml";
+      "lib/runtime/softsignal.ml";
+    ];
+  Alcotest.(check bool) "no allow.sexp entry for the rule" false
+    (List.exists
+       (fun (rule, _) -> rule = "read-path-rmw")
+       (L.parse_allow (read "tools/lint/allow.sexp")))
+
 let diagnostics_have_positions () =
   match L.check_source ~path:"lib/a.ml" "let a = 1\nlet b = Obj.magic a\n" with
   | [ d ] ->
@@ -244,6 +336,8 @@ let suite =
     case "rule: heap-free-loop scoping" heap_free_loop;
     case "rule: raw-smr-in-dslib scoping" raw_smr;
     case "rule: era-per-node scoping" era_per_node;
+    case "rule: read-path-rmw scoping" read_path_rmw;
+    case "rule: read-path-rmw holds on the real read paths" read_path_rmw_head_clean;
     case "diagnostics carry file:line" diagnostics_have_positions;
     case "allow.sexp parsing" parse_allow;
     case "rule: missing-mli over a tree" missing_mli;

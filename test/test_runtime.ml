@@ -399,6 +399,37 @@ let striped_parallel_incr () =
   Domain.join d2;
   Alcotest.(check int) "sum" (2 * iters) (Striped.sum s)
 
+(* --- Padded_rows --- *)
+
+(* For every width, any word of one row is [line_words] words (128 B)
+   from any word of another row and from either end of the table. *)
+let padded_rows_layout () =
+  Alcotest.(check bool) "128 bytes between rows" true
+    (Padded_rows.line_words * (Sys.word_size / 8) >= 128);
+  Alcotest.(check int) "heartbeat stride is one 16-word unit" 16 (Padded_rows.stride ~width:1);
+  for width = 1 to 40 do
+    let rows = 5 in
+    let tbl = Padded_rows.make ~rows ~width 7 in
+    let stride = Padded_rows.stride ~width in
+    Alcotest.(check int) "stride is whole 128-byte units" 0 (stride mod Padded_rows.line_words);
+    for i = 0 to rows - 1 do
+      let b = Padded_rows.base ~width i in
+      Alcotest.(check int) "constant stride" ((i + 1) * stride) b;
+      Alcotest.(check bool) "lead pad" true (b >= Padded_rows.line_words);
+      Alcotest.(check bool) "trail pad" true
+        (Array.length tbl - (b + width) >= Padded_rows.line_words);
+      if i > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "width %d: rows %d and %d a line apart" width (i - 1) i)
+          true
+          (b - (Padded_rows.base ~width (i - 1) + width - 1) >= Padded_rows.line_words)
+    done;
+    Alcotest.(check bool) "every word initialised" true (Array.for_all (fun v -> v = 7) tbl)
+  done;
+  Alcotest.check_raises "width must be positive"
+    (Invalid_argument "Padded_rows.stride: width must be positive") (fun () ->
+      ignore (Padded_rows.stride ~width:0))
+
 (* --- Fence --- *)
 
 let fence_counts () =
@@ -451,6 +482,7 @@ let suite =
     case "spinlock: mutual exclusion" spinlock_mutual_exclusion;
     case "striped: basic" striped_basic;
     case "striped: parallel increments" striped_parallel_incr;
+    case "padded_rows: rows a line apart at every width" padded_rows_layout;
     case "fence: robust to zero/negative" fence_counts;
     case "clock: elapsed" clock_monotonic_enough;
   ]

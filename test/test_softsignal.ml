@@ -114,6 +114,36 @@ let cross_domain_delivery () =
   Alcotest.(check int) "handler ran in peer" 1 (Atomic.get served);
   Alcotest.(check int) "handler_runs counter" 1 (Softsignal.handler_runs h)
 
+(* The heartbeat is bumped with plain stores; a failure detector in
+   another domain must still see it move while the peer polls, and
+   after the join it must count every poll exactly. *)
+let heartbeat_seen_across_domains () =
+  let h = Softsignal.create ~max_threads:2 in
+  let stop = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let p1 = Softsignal.register h ~tid:1 in
+        let polls = ref 0 in
+        while not (Atomic.get stop) do
+          Softsignal.poll p1;
+          incr polls
+        done;
+        !polls)
+  in
+  while not (Softsignal.is_active h 1) do
+    Domain.cpu_relax ()
+  done;
+  let t0 = Pop_runtime.Clock.now () in
+  while Softsignal.heartbeat h 1 < 1000 && Pop_runtime.Clock.elapsed t0 < 10.0 do
+    Domain.cpu_relax ()
+  done;
+  let seen = Softsignal.heartbeat h 1 in
+  Atomic.set stop true;
+  let polls = Domain.join d in
+  Alcotest.(check bool) "movement seen while the peer runs" true (seen >= 1000);
+  Alcotest.(check int) "register bump plus one per poll" (1 + polls) (Softsignal.heartbeat h 1);
+  Alcotest.(check int) "other slot untouched" 0 (Softsignal.heartbeat h 0)
+
 (* Regression for the deregister race: a ping that lands during the
    final courtesy poll (here simulated by the handler re-pinging its own
    slot) used to leave the pending flag raised on a dead slot, so the
@@ -185,6 +215,7 @@ let suite =
     case "deregister serves the pending ping" deregister_serves_pending;
     case "slot reusable after deregister" reregister_after_deregister;
     case "cross-domain delivery" cross_domain_delivery;
+    case "heartbeat seen across domains" heartbeat_seen_across_domains;
     case "deregister clears a stale pending flag" deregister_clears_stale_pending;
     case "fault injection: dropped pings" fault_drop_ping;
     case "fault injection: delayed polls" fault_delay_poll;

@@ -390,7 +390,102 @@ let check_heap_free_loop lines =
     (fun line -> (line, heap_free_loop_msg))
     !diags
 
-let file_rules = [ ("heap-free-loop", heap_free_loop_applies, check_heap_free_loop) ]
+(* read-path-rmw: no fenced store, RMW or modelled fence on the POP
+   read path — the [read]/[read_from] bindings of the three POP schemes
+   and the no-ping path of [Softsignal.poll], which every read calls.
+   The paper's claim is that a POP read reserves with a plain private
+   store (§2.1.2); on x86 every one of these tokens is a locked
+   instruction or an [xchg]. The ping branch of [poll] (after its
+   [then begin], up to the matching [end]) runs the handler and may
+   fence. Lexical like the rest: a top-level binding runs from a
+   column-0 [let]/[and] to the next column-0 phrase, and only the
+   listed bindings are checked, not the functions they call. *)
+let read_path_bindings path =
+  match path with
+  | "lib/core/hazard_ptr_pop.ml" | "lib/core/hazard_era_pop.ml" | "lib/core/epoch_pop.ml" ->
+      [ "read"; "read_from" ]
+  | "lib/runtime/softsignal.ml" -> [ "poll" ]
+  | _ -> []
+
+let read_path_applies path = read_path_bindings path <> []
+
+let fenced_tokens =
+  [
+    "Atomic.set"; "Atomic.incr"; "Atomic.decr"; "Atomic.exchange"; "Atomic.fetch_and_add";
+    "Atomic.compare_and_set"; "Striped.set"; "Striped.incr"; "Striped.add"; "Fence.execute";
+  ]
+
+let read_path_msg =
+  "fenced store or RMW on the POP read path; a read reserves with a plain store to a \
+   line-private row and polls without a fence (Atomic.get and plain array stores only)"
+
+(* The name a column-0 [let]/[let rec]/[and] binds; [Some ""] for any
+   other column-0 phrase (it ends the previous binding); [None] for an
+   indented or blank line, which continues it. *)
+let toplevel_binding line =
+  if line = "" || line.[0] = ' ' || line.[0] = '\t' then None
+  else
+    let words = String.split_on_char ' ' line |> List.filter (fun w -> w <> "") in
+    (* [let[@inline] f] binds [f] too. *)
+    let keyword w = match String.index_opt w '[' with Some i -> String.sub w 0 i | None -> w in
+    match List.map keyword words with
+    | ("let" | "and") :: "rec" :: name :: _ | ("let" | "and") :: name :: _ ->
+        let stop = ref 0 in
+        while !stop < String.length name && is_ident_char name.[!stop] do
+          incr stop
+        done;
+        Some (String.sub name 0 !stop)
+    | _ -> Some ""
+
+(* Where a [poll] line sits relative to its ping branch: the first
+   [then] opens it, a [begin] right after extends it to the matching
+   [end]; a [then] without [begin] guards the rest of its line. *)
+type ping_phase = Before | Armed | Inside of int (* begin/end depth *) | After
+
+let check_read_path ~path lines =
+  let watched = read_path_bindings path in
+  let guarded = path = "lib/runtime/softsignal.ml" in
+  let current = ref "" and phase = ref Before in
+  let diags = ref [] in
+  List.iteri
+    (fun idx line ->
+      (match toplevel_binding line with
+      | Some name ->
+          current := name;
+          phase := Before
+      | None -> ());
+      if List.mem !current watched then begin
+        let events = ref [] in
+        List.iter
+          (fun tok -> iter_token line tok (fun i -> events := (i, `Fenced) :: !events))
+          fenced_tokens;
+        if guarded then
+          List.iter
+            (fun (tok, ev) -> iter_token line tok (fun i -> events := (i, ev) :: !events))
+            [ ("then", `Then); ("begin", `Begin); ("end", `End) ];
+        let hit = ref false in
+        List.iter
+          (fun (_, ev) ->
+            match (ev, !phase) with
+            | `Then, Before -> phase := Armed
+            | `Begin, Armed -> phase := Inside 1
+            | `Begin, Inside d -> phase := Inside (d + 1)
+            | `End, Inside 1 -> phase := After
+            | `End, Inside d -> phase := Inside (d - 1)
+            | `Fenced, (Before | After) -> hit := true
+            | _ -> ())
+          (List.sort (fun (a, _) (b, _) -> Int.compare a b) !events);
+        if !phase = Armed then phase := After;
+        if !hit then diags := idx + 1 :: !diags
+      end)
+    lines;
+  List.rev_map (fun line -> (line, read_path_msg)) !diags
+
+let file_rules =
+  [
+    ("heap-free-loop", heap_free_loop_applies, fun ~path:_ lines -> check_heap_free_loop lines);
+    ("read-path-rmw", read_path_applies, check_read_path);
+  ]
 
 let check_source ~path contents =
   let stripped = strip contents in
@@ -410,7 +505,9 @@ let check_source ~path contents =
     List.concat_map
       (fun (name, applies, check) ->
         if applies path then
-          List.map (fun (line, message) -> { file = path; line; rule = name; message }) (check lines)
+          List.map
+            (fun (line, message) -> { file = path; line; rule = name; message })
+            (check ~path lines)
         else [])
       file_rules
   in

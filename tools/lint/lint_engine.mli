@@ -23,6 +23,12 @@
       block contents drained by the engine go back through
       [Heap.free_block] in one call, preserving the allocator's
       block-granularity hand-off;
+    - [read-path-rmw] — no [Atomic.set/incr/decr/exchange/
+      fetch_and_add/compare_and_set], [Striped.set/incr/add] or
+      [Fence.execute] in the [read]/[read_from] bindings of the three
+      POP schemes, nor on the no-ping path of [Softsignal.poll]
+      (everything in [poll] outside its [then begin ... end] ping
+      branch): a POP read pays no fence;
     - [missing-mli] — every [lib/] module except [*_intf.ml] carries an
       interface file.
 
