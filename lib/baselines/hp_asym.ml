@@ -97,11 +97,12 @@ let reclaim ?force ctx =
         ~timed_out:ctx.timeout_scratch
     in
     (* Only the count is needed here: the scan below already reads every
-       peer's local row racily, including a timed-out peer's. A peer deaf
-       for the whole spin budget has not executed READ since long before
-       the ping (every READ polls), so its last reservation stores are
-       visible; an in-flight unvalidated reservation is safe to honour
-       because the validating re-read retries on conflict. *)
+       peer's local row racily, including a timed-out peer's. The
+       handshake reports no timeout until its settle window after the
+       ping has passed, so a deaf peer's last plain reservation store
+       has drained by then (see HazardPtrPOP); an in-flight unvalidated
+       reservation is safe to honour because the validating re-read
+       retries on conflict. *)
     Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
     Reservations.collect_local g.res scratch
   in

@@ -154,10 +154,10 @@ let reclaim_pop ?force ctx =
        every node retired since it crashed, forever — the unbounded
        garbage EBR suffers. For suspects we union in a racy copy of the
        private reservation row instead (the HazardPtrPOP fallback: a
-       peer deaf for whole rounds has not executed READ since long
-       before the ping, so its last plain reservation stores are
-       visible, and an unvalidated reservation is safe to honour) and
-       exclude them from the floor. Garbage pinned by a crashed peer is
+       suspect is still pinged and reported only after the handshake's
+       settle window, so its last plain reservation store has drained,
+       and an unvalidated reservation is safe to honour) and exclude
+       them from the floor. Garbage pinned by a crashed peer is
        then bounded by its max_hp row, not by time. *)
     let k = ref k in
     let stuck_epoch = ref max_int in

@@ -24,7 +24,7 @@ type t = {
   peers : peer array;
   rounds : int Atomic.t; (* global handshake-round clock *)
   suspects : int Atomic.t; (* quarantine transitions, cumulative *)
-  quarantine_skips : int Atomic.t; (* probes skipped while quarantined *)
+  quarantine_skips : int Atomic.t; (* suspect rounds given only the settle window *)
 }
 
 let create ?(timeout_spins = 64) ?(suspect_after = 3) ?(backoff_cap = 64) hub =
@@ -69,12 +69,22 @@ let quarantine_round_count t = Atomic.get t.quarantine_skips
    ping, or [skip] for threads the ping did not reach (self, dead slots,
    and threads that registered after the ping round — the latter cannot
    hold references to nodes retired before they existed, exactly like a
-   thread created after a pthread_kill round, so they are excluded), or
-   [quarantined] for suspects whose re-probe is not yet due: those are
-   reported timed out immediately, without a ping or a wait. *)
+   thread created after a pthread_kill round, so they are excluded).
+   The wait loop resets an entry to [skip] once it has resolved that
+   peer (acked, left, or timed out). *)
 let skip = -1
 
-let quarantined = -2
+(* Minimum time, in seconds, between a round's pings and the return of
+   any round that reports a timeout. A timeout tells the caller to read
+   the peer's private reservation row racily in place of a publish, and
+   the POP read path stores to that row without a fence: the store may
+   still sit in the peer's store buffer while its validating load has
+   already run. Every ping follows the caller's unlink, so a peer whose
+   validation saw the unlinked pointer executed its reservation store
+   before the ping; the stated timing assumption (DESIGN.md §4,
+   per-thread layout rule) is that a plain store is visible to every
+   core within a store-buffer drain, far below this window. *)
+let settle_s = 50e-6
 
 let lift_quarantine p =
   p.quarantined <- false;
@@ -104,61 +114,56 @@ let note_timeout t ~round p ~hb =
     p.hb_snap <- hb
   end
 
+let acked t tid snap = Striped.get t.counters tid > snap
+
 let ping_and_wait t ~port ~scratch ~timed_out =
   let self = Softsignal.tid port in
   let n = Softsignal.max_threads t.hub in
   let round = Atomic.fetch_and_add t.rounds 1 in
+  (* [timed_out.(tid)] starts [true] for a quarantined suspect whose
+     re-probe is not yet due: it is pinged but gets no spin budget, only
+     the settle window, and is reported timed out unless it acks
+     within it. *)
+  let suspects = ref 0 in
   for tid = 0 to n - 1 do
     timed_out.(tid) <- false;
     if tid = self then scratch.(tid) <- skip
     else begin
       let p = t.peers.(tid) in
-      if p.quarantined then begin
-        if not (Softsignal.is_active t.hub tid) then
-          (* The suspect deregistered (or crashed and was reaped): a dead
-             slot holds nothing, same as the normal dead-slot skip. *)
-          scratch.(tid) <- skip
-        else if Softsignal.heartbeat t.hub tid <> p.hb_snap then begin
-          (* Heartbeat moved: the occupant is polling again (or the slot
-             was re-registered). Lift the quarantine and ping normally. *)
-          lift_quarantine p;
-          let snap = Striped.get t.counters tid in
-          scratch.(tid) <- (if Softsignal.ping t.hub tid then snap else skip)
-        end
-        else if round >= p.next_probe then begin
-          (* Re-probe due: ping and give it one more bounded wait. *)
-          let snap = Striped.get t.counters tid in
-          scratch.(tid) <- (if Softsignal.ping t.hub tid then snap else skip)
-        end
-        else scratch.(tid) <- quarantined
-      end
+      if p.quarantined && not (Softsignal.is_active t.hub tid) then
+        (* The suspect deregistered (or crashed and was reaped): a dead
+           slot holds nothing, same as the normal dead-slot skip. *)
+        scratch.(tid) <- skip
       else begin
+        if p.quarantined then
+          if Softsignal.heartbeat t.hub tid <> p.hb_snap then
+            (* Heartbeat moved: the occupant is polling again (or the
+               slot was re-registered). Lift the quarantine and ping
+               normally. *)
+            lift_quarantine p
+          else if round < p.next_probe then begin
+            timed_out.(tid) <- true;
+            incr suspects
+          end;
         (* Snapshot before pinging (COLLECTPUBLISHEDCOUNTERS before
            PINGALLTOPUBLISH): an ack after the ping is then provably a
-           publish that completed after this round began. *)
+           publish that completed after this round began. A due re-probe
+           of a suspect gets the full spin budget like any other peer. *)
         let snap = Striped.get t.counters tid in
         scratch.(tid) <- (if Softsignal.ping t.hub tid then snap else skip)
       end
     end
   done;
+  let pinged_at = Clock.now () in
   let timeouts = ref 0 in
   let b = Backoff.make () in
   for tid = 0 to n - 1 do
-    if scratch.(tid) = quarantined then begin
-      (* Suspect skipped without a ping: report the timeout immediately
-         so the caller takes its conservative fallback without paying
-         the spin budget against a peer that stopped polling. *)
-      scratch.(tid) <- skip;
-      timed_out.(tid) <- true;
-      incr timeouts;
-      Atomic.incr t.quarantine_skips
-    end
-    else if scratch.(tid) <> skip then begin
+    if scratch.(tid) <> skip && not timed_out.(tid) then begin
       Backoff.reset b;
       let spins = ref 0 in
       while
         Softsignal.is_active t.hub tid
-        && Striped.get t.counters tid <= scratch.(tid)
+        && (not (acked t tid scratch.(tid)))
         && !spins < t.timeout_spins
       do
         (* Serve pings aimed at us while we wait, or two concurrent
@@ -176,7 +181,7 @@ let ping_and_wait t ~port ~scratch ~timed_out =
       if
         !spins >= t.timeout_spins
         && Softsignal.is_active t.hub tid
-        && Striped.get t.counters tid <= scratch.(tid)
+        && not (acked t tid scratch.(tid))
       then begin
         timed_out.(tid) <- true;
         incr timeouts;
@@ -185,7 +190,29 @@ let ping_and_wait t ~port ~scratch ~timed_out =
       else begin
         let p = t.peers.(tid) in
         if p.quarantined || p.strikes > 0 then lift_quarantine p
-      end
+      end;
+      scratch.(tid) <- skip
     end
   done;
+  (* No timeout is reported before the settle window has passed since
+     the pings; the full spin budget normally outlasts it already. *)
+  if !timeouts + !suspects > 0 then
+    while Clock.elapsed pinged_at < settle_s do
+      Softsignal.poll port;
+      Domain.cpu_relax ()
+    done;
+  (* Only suspects are still awaited: the loop above resolved every
+     other peer to [skip]. One that acked or left is cleared. *)
+  if !suspects > 0 then
+    for tid = 0 to n - 1 do
+      if scratch.(tid) <> skip then
+        if Softsignal.is_active t.hub tid && not (acked t tid scratch.(tid)) then begin
+          incr timeouts;
+          Atomic.incr t.quarantine_skips
+        end
+        else begin
+          timed_out.(tid) <- false;
+          lift_quarantine t.peers.(tid)
+        end
+    done;
   !timeouts

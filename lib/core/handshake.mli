@@ -19,19 +19,25 @@
     peer is reported in [timed_out] and the caller must conservatively
     treat everything that peer might hold as reserved — its racily
     readable reservation rows and/or its announced epoch — rather than
-    waiting for a publish that may never come. See DESIGN.md "Bounded
-    handshake" for the safety argument.
+    waiting for a publish that may never come. No round that reports
+    a timeout returns sooner than a fixed settle window (50 µs) after
+    its pings: the POP read path reserves with plain stores, and the
+    racy row read is safe only once the peer's last reservation store
+    has drained from its store buffer. See DESIGN.md "Bounded
+    handshake" and the per-thread layout rule for the safety argument
+    and its timing assumption.
 
     {b Failure detector:} a peer that times out [suspect_after]
     consecutive rounds while its {!Pop_runtime.Softsignal.heartbeat}
     stays frozen is marked {e suspect} and quarantined: later rounds
-    skip its ping entirely and report the timeout immediately (the
-    caller takes the same conservative fallback, just without burning
-    the spin budget against a dead port). Quarantined peers are
-    re-probed with exponentially backed-off pings and un-quarantined as
-    soon as their heartbeat moves — including when a fresh thread
-    re-registers the slot, since {!Pop_runtime.Softsignal.register}
-    bumps the heartbeat. Detection is a performance heuristic only;
+    still ping it but wait only the settle window, not the spin
+    budget, and report the timeout unless it acked by then (the caller
+    takes the same conservative fallback, just without burning the
+    spin budget against a dead port). Quarantined peers get a
+    full-budget re-probe on an exponentially backed-off schedule and
+    are un-quarantined as soon as they ack or their heartbeat moves —
+    including when a fresh thread re-registers the slot, since
+    {!Pop_runtime.Softsignal.register} bumps the heartbeat. Detection is a performance heuristic only;
     safety always rests on the conservative fallback. *)
 
 type t
@@ -77,7 +83,8 @@ val ping_and_wait :
     Every entry of [timed_out] is (re)written: [timed_out.(tid)] is
     [true] iff [tid] was pinged, stayed active, and still had not
     published when its spin budget ran out — or was a quarantined
-    suspect whose re-probe was not yet due (skipped without a ping).
+    suspect whose re-probe was not yet due and that had not published
+    by the end of the settle window.
     Returns the number of such peers (0 = a clean round equivalent to
     the unbounded handshake). *)
 
@@ -93,5 +100,6 @@ val suspect_count : t -> int
 (** Cumulative number of quarantine transitions (for stats). *)
 
 val quarantine_round_count : t -> int
-(** Cumulative number of per-peer ping skips taken because the peer was
-    quarantined and its re-probe was not yet due (for stats). *)
+(** Cumulative number of per-peer timeouts reported after only the
+    settle window, because the peer was quarantined and its re-probe
+    was not yet due (for stats). *)

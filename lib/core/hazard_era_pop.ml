@@ -115,8 +115,9 @@ let reclaim ?force ctx =
     let k = Reservations.collect_shared g.res scratch in
     (* Timed-out peers never published: union in racy copies of their
        private era rows (same fallback and visibility argument as
-       HazardPtrPOP — a deaf peer's last plain stores are long visible,
-       and an in-flight unvalidated era reservation is safe to honour). *)
+       HazardPtrPOP — the handshake's settle window lets a peer's last
+       plain era store drain before we read it, and an in-flight
+       unvalidated era reservation is safe to honour). *)
     let k = ref k in
     if timeouts > 0 then
       for tid = 0 to g.cfg.max_threads - 1 do

@@ -108,11 +108,14 @@ let reclaim ?force ctx =
     Reservations.publish g.res ~tid:ctx.tid;
     let k = Reservations.collect_shared g.res scratch in
     (* A timed-out peer never ran its handler, so its shared row is stale.
-       Union in a racy copy of its private row: a peer deaf for the whole
-       spin budget has not executed READ since long before the ping (every
-       READ polls), so its last reservation stores are visible; and a
-       reservation written but not yet validated is safe to honour — the
-       validating re-read either confirms it or the peer retries. *)
+       Union in a racy copy of its private row. A peer whose validating
+       re-read still saw a node we unlinked made its plain reservation
+       store before our ping, and the handshake reports no timeout until
+       its settle window after the ping has passed, so by the timing
+       assumption of DESIGN.md (per-thread layout rule) that store is
+       visible now. A reservation written but not yet validated is safe
+       to honour — the validating re-read either confirms it or the peer
+       retries. *)
     let k = ref k in
     if timeouts > 0 then
       for tid = 0 to g.cfg.max_threads - 1 do

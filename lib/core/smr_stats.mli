@@ -41,12 +41,13 @@ type t = {
   suspects : int;
       (** Quarantine transitions by the {!Handshake} failure detector: a
           peer timed out {!Handshake.create}[?suspect_after] consecutive
-          rounds with a frozen heartbeat and later ping rounds skip it
-          (0 for schemes without a handshake). *)
+          rounds with a frozen heartbeat and later ping rounds give it
+          only the settle window (0 for schemes without a handshake). *)
   quarantine_rounds : int;
-      (** Per-peer ping skips taken because the peer was quarantined and
-          its backed-off re-probe was not yet due; each one is a full
-          [ping_timeout_spins] wait avoided against a dead port. *)
+      (** Per-peer timeouts reported after only the settle window,
+          because the peer was quarantined and its backed-off re-probe
+          was not yet due; each one is a full [ping_timeout_spins] wait
+          avoided against a dead port. *)
   block_skips : int;
       (** Whole segment blocks an era-interval fast pass freed with a
           single range probe over the block's era stamps, without

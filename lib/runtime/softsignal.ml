@@ -97,26 +97,31 @@ let ping_all t ~self =
     if id <> self then ignore (ping t id)
   done
 
+(* The ping branch of [poll]: run the handler unless fault injection
+   defers delivery. May fence; kept out of [poll] so that [poll] itself
+   is the no-ping path the [read-path-rmw] lint rule checks whole. *)
+let serve p =
+  let t = p.hub in
+  match t.faults with
+  | Some f when f.delay_poll > 0.0 && draw f < f.delay_poll ->
+      (* Delivery deferred: the flag stays up for a later poll. *)
+      Atomic.incr t.delayed
+  | _ ->
+      Atomic.set p.my_pending 0;
+      Atomic.incr t.runs;
+      t.handlers.(p.id) ()
+
 let poll p =
   (* Heartbeat first: a poll that finds no pending ping must still be
      visible to the failure detector, which distinguishes "slow to ack"
      from "stopped polling entirely". Single writer per slot (the
      occupant), so a plain read-increment-write is exact; no fence, as
      the detector reads it racily and its safety never depends on the
-     value (see Handshake). This is the whole no-ping path: a plain
-     store to a line-private word and a plain load of the flag. *)
+     value (see Handshake). Without a ping this is all a poll does: a
+     plain store to a line-private word and a plain load of the flag. *)
   let t = p.hub and at = p.my_heartbeat in
   Array.unsafe_set t.heartbeats at (Array.unsafe_get t.heartbeats at + 1);
-  if Atomic.get p.my_pending = 1 then begin
-    match t.faults with
-    | Some f when f.delay_poll > 0.0 && draw f < f.delay_poll ->
-        (* Delivery deferred: the flag stays up for a later poll. *)
-        Atomic.incr t.delayed
-    | _ ->
-        Atomic.set p.my_pending 0;
-        Atomic.incr t.runs;
-        t.handlers.(p.id) ()
-  end
+  if Atomic.get p.my_pending = 1 then serve p
 
 let pending p = Atomic.get p.my_pending = 1
 

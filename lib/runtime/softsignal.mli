@@ -82,11 +82,6 @@ val heartbeat : t -> int -> int
     a stale read can only delay or hasten a quarantine, never break
     safety (see [Pop_core.Handshake]). *)
 
-val heartbeat_offset : int -> int
-(** Word offset of slot [tid]'s heartbeat in the hub's heartbeat
-    table, a {!Padded_rows} table of width 1: every slot's word is
-    line-private. Exposed for layout tests. *)
-
 val pings_sent : t -> int
 (** Total pings delivered through this hub (for stats). *)
 

@@ -110,7 +110,7 @@ let hp_pop_crashed_peer_is_quarantined () =
       Alcotest.(check bool) "handshakes timed out" true
         (s.Smr_stats.handshake_timeouts >= 3);
       Alcotest.(check bool) "peer suspected" true (s.Smr_stats.suspects >= 1);
-      Alcotest.(check bool) "later rounds skipped the quarantined peer" true
+      Alcotest.(check bool) "later rounds gave the quarantined peer only the settle window" true
         (s.Smr_stats.quarantine_rounds >= 1);
       (* The crashed peer pins at most its max_hp racy row; the rest of
          the 200 retired nodes must have been freed. *)
@@ -151,6 +151,61 @@ let epoch_pop_crash_excluded_from_epoch_floor () =
         true
         (Epoch_pop.unreclaimed g <= bound);
       Alcotest.(check int) "no UAF" 0 (Pop_sim.Heap.uaf_count rig.heap))
+
+(* A quarantined peer that resumes while the reclaimer keeps unlinking
+   and retiring. The peer goes deaf mid-operation holding a
+   reservation, waits until the reclaimer has quarantined it, then
+   reads in bursts while its slot is still quarantined: the rounds that
+   race those reads take the suspect fallback (a ping, the settle
+   window, then a racy copy of the peer's private row). Every node the
+   peer checks must still be live, under the SmrSan sanitizer. *)
+let quarantined_peer_resumes (module R : Smr.S) () =
+  let module C = Pop_check.Smr_check.Make (R) in
+  let rig = make_rig ~reclaim_freq:4 () in
+  let cfg = { rig.cfg with Smr_config.ping_timeout_spins = 2; suspect_after = 1 } in
+  let g = C.create cfg rig.hub rig.heap in
+  let ctx0 = C.register g ~tid:0 in
+  let cells = Array.init 8 (fun _ -> Atomic.make (C.alloc ctx0)) in
+  let cycles = 5 in
+  let resumed = Atomic.make 0 and suspects = Atomic.make 0 and stop = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let ctx1 = C.register g ~tid:1 in
+        let seen = ref 0 in
+        while Atomic.get resumed < cycles && not (Atomic.get stop) do
+          C.start_op ctx1;
+          let held = C.read ctx1 0 cells.(0) Fun.id in
+          (* Deaf: no poll until the reclaimer reports a new suspect. *)
+          while Atomic.get suspects <= !seen && not (Atomic.get stop) do
+            Domain.cpu_relax ()
+          done;
+          seen := Atomic.get suspects;
+          for k = 1 to 500 do
+            let n = C.read ctx1 1 cells.(k land 7) Fun.id in
+            C.check ctx1 n
+          done;
+          C.check ctx1 held;
+          C.end_op ctx1;
+          Atomic.incr resumed
+        done;
+        C.deregister ctx1)
+  in
+  let t0 = Pop_runtime.Clock.now () in
+  while Atomic.get resumed < cycles && Pop_runtime.Clock.elapsed t0 < 10.0 do
+    for k = 1 to 64 do
+      C.retire ctx0 (Atomic.exchange cells.(k land 7) (C.alloc ctx0))
+    done;
+    Atomic.set suspects (C.stats g).Smr_stats.suspects
+  done;
+  Atomic.set stop true;
+  Domain.join d;
+  C.flush ctx0;
+  let s = C.stats g in
+  Alcotest.(check int) "every cycle resumed while quarantined" cycles (Atomic.get resumed);
+  Alcotest.(check bool) "suspect rounds taken" true (s.Smr_stats.quarantine_rounds >= 1);
+  Alcotest.(check int) "no UAF" 0 (Pop_sim.Heap.uaf_count rig.heap);
+  Alcotest.(check int) "no double free" 0 (Pop_sim.Heap.double_free_count rig.heap);
+  Alcotest.(check int) "no violations" 0 (Pop_check.Smr_check.total (C.violations g))
 
 let ebr_crash_pins_everything () =
   (let module Rig__ = Smr_rig (Pop_baselines.Ebr) in
@@ -278,7 +333,7 @@ let crash_churn_ebr_vs_hp_pop () =
     (ebr.Runner.crashed >= 1 && hpp.Runner.crashed >= 1);
   Alcotest.(check bool) "hp-pop suspected the crashed peers" true
     (hpp.Runner.smr.Smr_stats.suspects >= 1);
-  Alcotest.(check bool) "hp-pop skipped quarantined rounds" true
+  Alcotest.(check bool) "hp-pop took settle-window rounds for suspects" true
     (hpp.Runner.smr.Smr_stats.quarantine_rounds >= 1);
   Alcotest.(check bool)
     (Printf.sprintf "ebr garbage (%d) >> hp-pop garbage (%d)"
@@ -297,6 +352,14 @@ let suite =
         hp_pop_crashed_peer_is_quarantined;
       case "epoch-pop: crashed peer excluded from the epoch floor"
         epoch_pop_crash_excluded_from_epoch_floor;
+      case "hp-pop: quarantined peer resumes mid-scan, sanitized"
+        (quarantined_peer_resumes (module Hazard_ptr_pop));
+      case "he-pop: quarantined peer resumes mid-scan, sanitized"
+        (quarantined_peer_resumes (module Hazard_era_pop));
+      case "epoch-pop: quarantined peer resumes mid-scan, sanitized"
+        (quarantined_peer_resumes (module Epoch_pop));
+      case "hp-asym: quarantined peer resumes mid-scan, sanitized"
+        (quarantined_peer_resumes (module Pop_baselines.Hp_asym));
       case "ebr: a crashed peer pins everything forever" ebr_crash_pins_everything;
       case "smrsan: join on a recycled tid is clean" join_on_recycled_tid_is_clean;
       case "smrsan: double tid claim is churn misuse" double_claim_is_churn_misuse;

@@ -177,11 +177,13 @@ let reservations_rows_are_views () =
   Alcotest.(check int) "shared row aliases" 6 (Reservations.get_shared r ~tid:0 ~slot:1)
 
 (* Every per-thread cell written on the read path is line-private:
-   thread t's heartbeat word and reservation row lie at least 128 bytes
-   from every other thread's. Both tables are single flat arrays, which
-   the GC moves as a unit, so the distances are properties of the
-   offsets; the check reruns after a full major GC and a compaction,
-   and the views cached at registration must still alias the tables. *)
+   thread t's reservation row lies at least 128 bytes from every other
+   thread's. The table is one flat array, which the GC moves as a unit,
+   so the distances are properties of the offsets; the check reruns
+   after a full major GC and a compaction, and the views cached at
+   registration must still alias the table. The heartbeat table is the
+   same [Padded_rows] layout at width 1, covered by
+   [padded_rows_layout]; here each poll must still bump its own slot. *)
 let per_thread_cells_line_private () =
   let n = 4 and slots = 3 in
   let hub = Softsignal.create ~max_threads:n in
@@ -203,14 +205,8 @@ let per_thread_cells_line_private () =
           Alcotest.(check bool) (phase ^ ": row clear of the table ends") true
             (bytes w >= 128 && bytes (Array.length tbl - 1 - w) >= 128))
         (row t);
-      Alcotest.(check bool) (phase ^ ": heartbeat clear of the table start") true
-        (bytes (Softsignal.heartbeat_offset t) >= 128);
       for u = 0 to n - 1 do
-        if t <> u then begin
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: heartbeats %d/%d" phase t u)
-            true
-            (bytes (abs (Softsignal.heartbeat_offset t - Softsignal.heartbeat_offset u)) >= 128);
+        if t <> u then
           List.iter
             (fun a ->
               List.iter
@@ -221,7 +217,6 @@ let per_thread_cells_line_private () =
                     (bytes (abs (a - b)) >= 128))
                 (row u))
             (row t)
-        end
       done
     done;
     (* The cached views still write the live cells. *)

@@ -179,18 +179,17 @@ let read_fixture store =
       "  if Atomic.get addr == v then v else read ctx slot addr proj";
     ]
 
-let poll_fixture ?(after = "") bump =
+let poll_fixture bump =
   String.concat "\n"
     [
+      "let serve p =";
+      "  Atomic.set p.my_pending 0;";
+      "  Atomic.incr p.hub.runs;";
+      "  p.hub.handlers.(p.id) ()";
+      "";
       "let poll p =";
       "  " ^ bump ^ ";";
-      "  if Atomic.get p.my_pending = 1 then begin";
-      "    match t.faults with";
-      "    | Some f -> Atomic.incr t.delayed";
-      "    | _ ->";
-      "        Atomic.set p.my_pending 0;";
-      "        t.handlers.(p.id) ()";
-      "  end" ^ after;
+      "  if Atomic.get p.my_pending = 1 then serve p";
       "";
       "let pending p = Atomic.get p.my_pending = 1";
     ]
@@ -220,21 +219,15 @@ let read_path_rmw () =
   Alcotest.(check bool) "baselines are out of scope" false
     (flags "read-path-rmw" "lib/baselines/hp.ml" fenced);
   let soft = "lib/runtime/softsignal.ml" in
-  Alcotest.(check bool) "poll: plain bump, fenced ping branch accepted" false
+  Alcotest.(check bool) "poll: plain bump accepted, serve may fence" false
     (flags "read-path-rmw" soft (poll_fixture "t.hb.(at) <- t.hb.(at) + 1"));
-  Alcotest.(check bool) "poll: atomic heartbeat on the no-ping path flagged" true
+  Alcotest.(check bool) "poll: atomic heartbeat flagged" true
     (flags "read-path-rmw" soft (poll_fixture "Atomic.set p.hb (Atomic.get p.hb + 1)"));
   Alcotest.(check bool) "poll: attributes do not hide the binding" true
     (flags "read-path-rmw" soft
-       ("let[@inline] poll p =\n  Atomic.incr p.hb;\n  if Atomic.get p.my_pending = 1 then serve p"));
+       "let[@inline] poll p =\n  Atomic.incr p.hb;\n  if Atomic.get p.my_pending = 1 then serve p");
   Alcotest.(check bool) "poll: striped bump flagged" true
     (flags "read-path-rmw" soft (poll_fixture "Striped.incr t.heartbeats p.id"));
-  Alcotest.(check bool) "poll: code after the ping branch is no-ping path" true
-    (flags "read-path-rmw" soft
-       (poll_fixture ~after:";\n  Atomic.incr t.polls" "t.hb.(at) <- t.hb.(at) + 1"));
-  Alcotest.(check bool) "poll: only the first then opens the ping branch" true
-    (flags "read-path-rmw" soft
-       (poll_fixture ~after:";\n  if p.id = 0 then Atomic.incr t.polls" "t.hb.(at) <- 1"));
   Alcotest.(check bool) "other softsignal bindings may fence" false
     (flags "read-path-rmw" soft "let register t ~tid =\n  Striped.set t.active tid 1")
 

@@ -392,14 +392,14 @@ let check_heap_free_loop lines =
 
 (* read-path-rmw: no fenced store, RMW or modelled fence on the POP
    read path — the [read]/[read_from] bindings of the three POP schemes
-   and the no-ping path of [Softsignal.poll], which every read calls.
-   The paper's claim is that a POP read reserves with a plain private
-   store (§2.1.2); on x86 every one of these tokens is a locked
-   instruction or an [xchg]. The ping branch of [poll] (after its
-   [then begin], up to the matching [end]) runs the handler and may
-   fence. Lexical like the rest: a top-level binding runs from a
-   column-0 [let]/[and] to the next column-0 phrase, and only the
-   listed bindings are checked, not the functions they call. *)
+   and [Softsignal.poll], which every read calls. The paper's claim is
+   that a POP read reserves with a plain private store (§2.1.2); on x86
+   every one of these tokens is a locked instruction or an [xchg].
+   [poll] is the no-ping path only: its ping branch is the separate
+   [serve] binding, which runs the handler and may fence. Lexical like
+   the rest: a top-level binding runs from a column-0 [let]/[and] to
+   the next column-0 phrase, and only the listed bindings are checked,
+   not the functions they call. *)
 let read_path_bindings path =
   match path with
   | "lib/core/hazard_ptr_pop.ml" | "lib/core/hazard_era_pop.ml" | "lib/core/epoch_pop.ml" ->
@@ -437,47 +437,15 @@ let toplevel_binding line =
         Some (String.sub name 0 !stop)
     | _ -> Some ""
 
-(* Where a [poll] line sits relative to its ping branch: the first
-   [then] opens it, a [begin] right after extends it to the matching
-   [end]; a [then] without [begin] guards the rest of its line. *)
-type ping_phase = Before | Armed | Inside of int (* begin/end depth *) | After
-
 let check_read_path ~path lines =
   let watched = read_path_bindings path in
-  let guarded = path = "lib/runtime/softsignal.ml" in
-  let current = ref "" and phase = ref Before in
+  let current = ref "" in
   let diags = ref [] in
   List.iteri
     (fun idx line ->
-      (match toplevel_binding line with
-      | Some name ->
-          current := name;
-          phase := Before
-      | None -> ());
-      if List.mem !current watched then begin
-        let events = ref [] in
-        List.iter
-          (fun tok -> iter_token line tok (fun i -> events := (i, `Fenced) :: !events))
-          fenced_tokens;
-        if guarded then
-          List.iter
-            (fun (tok, ev) -> iter_token line tok (fun i -> events := (i, ev) :: !events))
-            [ ("then", `Then); ("begin", `Begin); ("end", `End) ];
-        let hit = ref false in
-        List.iter
-          (fun (_, ev) ->
-            match (ev, !phase) with
-            | `Then, Before -> phase := Armed
-            | `Begin, Armed -> phase := Inside 1
-            | `Begin, Inside d -> phase := Inside (d + 1)
-            | `End, Inside 1 -> phase := After
-            | `End, Inside d -> phase := Inside (d - 1)
-            | `Fenced, (Before | After) -> hit := true
-            | _ -> ())
-          (List.sort (fun (a, _) (b, _) -> Int.compare a b) !events);
-        if !phase = Armed then phase := After;
-        if !hit then diags := idx + 1 :: !diags
-      end)
+      (match toplevel_binding line with Some name -> current := name | None -> ());
+      if List.mem !current watched && List.exists (fun tok -> has_token line tok) fenced_tokens
+      then diags := idx + 1 :: !diags)
     lines;
   List.rev_map (fun line -> (line, read_path_msg)) !diags
 

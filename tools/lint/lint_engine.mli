@@ -26,9 +26,9 @@
     - [read-path-rmw] — no [Atomic.set/incr/decr/exchange/
       fetch_and_add/compare_and_set], [Striped.set/incr/add] or
       [Fence.execute] in the [read]/[read_from] bindings of the three
-      POP schemes, nor on the no-ping path of [Softsignal.poll]
-      (everything in [poll] outside its [then begin ... end] ping
-      branch): a POP read pays no fence;
+      POP schemes, nor in [Softsignal.poll], the no-ping path every
+      read runs (its ping branch is the separate [serve] binding): a
+      POP read pays no fence;
     - [missing-mli] — every [lib/] module except [*_intf.ml] carries an
       interface file.
 
