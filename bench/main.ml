@@ -3,8 +3,8 @@
    Bechamel micro suite for the read-path costs (the paper's section
    2.1.2 claim) and ablation sweeps over the design knobs.
 
-   Default run: micro suite + all figures + ablations at quick scale.
-   Usage: main.exe [--fig micro|1|3|4|5|10|rob|ablation|all] [--full] *)
+   Default run: every row of [figures] (bottom of this file) at quick
+   scale. Usage: main.exe [--fig NAME] [--full] [--json] *)
 
 open Bechamel
 open Pop_harness
@@ -87,11 +87,21 @@ let run_bechamel ~name tests =
   (* Bechamel's grouped labels already carry the group name. *)
   rows
 
-let fig_micro () =
-  run_bechamel ~name:"reservation primitives" primitive_tests
-  @ run_bechamel ~name:"hml contains, size 256 (paper sec. 2.1.2)"
+let fig_micro _sc =
+  let primitives = run_bechamel ~name:"reservation primitives" primitive_tests in
+  let reads =
+    run_bechamel ~name:"hml contains, size 256 (paper sec. 2.1.2)"
       (List.map read_path_test Dispatch.paper_smrs)
-  @ run_bechamel ~name:"hml 50i/50d, size 256" (List.map update_path_test Dispatch.paper_smrs)
+  in
+  let updates =
+    run_bechamel ~name:"hml 50i/50d, size 256" (List.map update_path_test Dispatch.paper_smrs)
+  in
+  Some
+    (Json.List
+       (List.map
+          (fun (label, ns, r2) ->
+            Json.Obj [ ("label", String label); ("ns_per_op", Float ns); ("r_square", Float r2) ])
+          (primitives @ reads @ updates)))
 
 (* ------------------------------------------------------------------ *)
 (* Ablation sweeps over the design knobs DESIGN.md calls out            *)
@@ -237,14 +247,15 @@ let fig_oversubscription sc =
                   Report.fmt_count last.Runner.max_unreclaimed;
                   Report.fmt_count last.Runner.smr.pings;
                 ]))
-         smrs)
+         smrs);
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Signal latency (paper Assumption 1 / section 4.1.2: threads publish *)
 (* in bounded time after being pinged)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let fig_signal_latency sc =
+let fig_signal_latency _sc =
   Report.section
     "Ping-round latency: time for one reclaimer to ping all threads and observe every \
      publish (Assumption 1). Workers poll once per simulated operation (~1 us of work)";
@@ -291,7 +302,6 @@ let fig_signal_latency sc =
     let pct q = lat.(int_of_float (q *. float_of_int (rounds - 1))) *. 1e6 in
     (pct 0.5, pct 0.99, lat.(rounds - 1) *. 1e6)
   in
-  ignore sc;
   Report.table
     ~header:[ "traversing threads"; "p50 (us)"; "p99 (us)"; "max (us)" ]
     ~rows:
@@ -304,7 +314,8 @@ let fig_signal_latency sc =
              Printf.sprintf "%.1f" p99;
              Printf.sprintf "%.1f" mx;
            ])
-         [ 1; 2; 4; 8 ])
+         [ 1; 2; 4; 8 ]);
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Segmented retire buffers (PR 5): pass cost vs covered backlog        *)
@@ -452,7 +463,20 @@ let fig_seg_pass_cost sc =
              string_of_int r.sc_recycled;
            ])
          cells);
-  cells
+  List.map
+    (fun r ->
+      Json.Obj
+        [
+          ("covered", Int r.sc_covered);
+          ("uncovered", Int r.sc_uncovered);
+          ("freed_per_pass", Int r.sc_freed);
+          ("fresh_ns_per_pass", Float r.sc_fresh_ns);
+          ("forced_ns_per_pass", Float r.sc_forced_ns);
+          ("fresh_max_scan_blocks", Int r.sc_fresh_blocks);
+          ("forced_max_scan_blocks", Int r.sc_forced_blocks);
+          ("segments_recycled", Int r.sc_recycled);
+        ])
+    cells
 
 (* ------------------------------------------------------------------ *)
 (* Era-span replay (PR 6): block-stamp fast path vs covered backlog     *)
@@ -605,7 +629,19 @@ let fig_seg_era_span sc =
              string_of_int r.ec_stale;
            ])
          cells);
-  cells
+  List.map
+    (fun r ->
+      Json.Obj
+        [
+          ("covered", Int r.ec_covered);
+          ("uncovered", Int r.ec_uncovered);
+          ("freed_per_pass", Int r.ec_freed);
+          ("fresh_ns_per_pass", Float r.ec_fresh_ns);
+          ("block_keeps", Int r.ec_block_keeps);
+          ("block_skips", Int r.ec_block_skips);
+          ("stale_stamps", Int r.ec_stale);
+        ])
+    cells
 
 (* ------------------------------------------------------------------ *)
 (* Donor-churn sweep (PR 6): hand-off throughput vs donor count         *)
@@ -737,13 +773,35 @@ let fig_seg_donor_churn sc =
              string_of_int r.cc_adopted;
            ])
          cells);
-  cells
+  List.map
+    (fun r ->
+      Json.Obj
+        [
+          ("donors", Int r.cc_donors);
+          ("nodes", Int r.cc_nodes);
+          ("ns_total", Int (Float.to_int (Float.round r.cc_ns)));
+          ("handoff_mops", Float r.cc_mops);
+          ("splice_moves", Int r.cc_splice_moves);
+          ("stripe_contention", Int r.cc_contention);
+          ("donated", Int r.cc_donated);
+          ("adopted", Int r.cc_adopted);
+        ])
+    cells
 
+(* BENCH_seg.json holds three differently-shaped cell arrays under one
+   keyed object: the pass-cost replay, the era-span replay and the
+   donor-churn sweep. *)
 let fig_seg sc =
   let pass_cells = fig_seg_pass_cost sc in
   let era_cells = fig_seg_era_span sc in
   let churn_cells = fig_seg_donor_churn sc in
-  (pass_cells, era_cells, churn_cells)
+  Some
+    (Json.Obj
+       [
+         ("pass_cost", List pass_cells);
+         ("era_span", List era_cells);
+         ("donor_churn", List churn_cells);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Constant-time allocator (PR 10): ns/op vs thread count               *)
@@ -919,170 +977,85 @@ let fig_alloc sc =
   table "balanced (alloc/free pairs, local blocks only)" balanced;
   table "imbalanced (producers alloc, consumers free_block)" imbalanced;
   table "churn (retire + donate/adopt through the reclaimer)" churn;
-  (balanced, imbalanced, churn)
+  (* BENCH_alloc.json: the three thread sweeps under one keyed object,
+     like BENCH_seg.json. *)
+  let sweep cells =
+    Json.List
+      (List.map
+         (fun r ->
+           Json.Obj
+             [
+               ("threads", Int r.al_threads);
+               ("ops", Int r.al_ops);
+               ("ns_per_op", Float r.al_ns_per_op);
+               ("block_grabs", Int r.al_grabs);
+               ("block_returns", Int r.al_returns);
+               ("pool_blocks", Int r.al_pool_blocks);
+               ("uaf", Int r.al_uaf);
+               ("double_free", Int r.al_double_free);
+             ])
+         cells)
+  in
+  Some
+    (Json.Obj
+       [ ("balanced", sweep balanced); ("imbalanced", sweep imbalanced); ("churn", sweep churn) ])
 
 let fig_ablation sc =
   ablation_fence sc;
   ablation_reclaim_freq sc;
-  ablation_pop_mult sc
+  ablation_pop_mult sc;
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* JSON emission: one BENCH_<fig>.json per figure when --json is set,
-   so figure reruns can be diffed against committed baselines. *)
+let labelled cells =
+  Some (Json.List (List.map (fun (label, r) -> Runner.to_json ~label r) cells))
 
-let json_out = ref false
+(* Figure cells are labelled ds/smr/tN. Tournament cells arrive
+   labelled scenario/scheme instead: the same scheme runs once per
+   scenario, so ds/smr/tN would collide. *)
+let cells results =
+  labelled
+    (List.map
+       (fun (r : Runner.result) ->
+         let c = r.r_cfg in
+         ( Printf.sprintf "%s/%s/t%d" (Dispatch.ds_name c.ds) (Dispatch.smr_name c.smr) c.threads,
+           r ))
+       results)
 
-let emit_json fig results =
-  if !json_out then begin
-    let label (r : Runner.result) =
-      Printf.sprintf "%s/%s/t%d"
-        (Dispatch.ds_name r.Runner.r_cfg.ds)
-        (Dispatch.smr_name r.Runner.r_cfg.smr)
-        r.Runner.r_cfg.threads
-    in
-    let path = Printf.sprintf "BENCH_%s.json" fig in
-    Runner.write_json path (List.map (fun r -> (label r, r)) results);
-    Printf.printf "wrote %s (%d cells)\n" path (List.length results)
-  end
-
-(* Tournament cells arrive pre-labelled ("scenario/scheme"): the same
-   scheme appears once per scenario, so the ds/smr/tN label above would
-   collide across scenarios. *)
-let emit_labelled_json fig labelled =
-  if !json_out then begin
-    let path = Printf.sprintf "BENCH_%s.json" fig in
-    Runner.write_json path labelled;
-    Printf.printf "wrote %s (%d cells)\n" path (List.length labelled)
-  end
-
-let emit_micro_json rows =
-  if !json_out then begin
-    let path = "BENCH_micro.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc "[\n";
-        let escape s =
-          String.concat ""
-            (List.map
-               (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-               (List.of_seq (String.to_seq s)))
-        in
-        List.iteri
-          (fun i (label, ns, r2) ->
-            if i > 0 then output_string oc ",\n";
-            (* Same contract as Runner.json_float: a broken measurement
-               emits null and trips the smoke assertions, not "0.0". *)
-            let num f = if Float.is_finite f then Printf.sprintf "%.4f" f else "null" in
-            Printf.fprintf oc "  {\"label\": \"%s\", \"ns_per_op\": %s, \"r_square\": %s}"
-              (escape label) (num ns) (num r2))
-          rows;
-        output_string oc "\n]\n");
-    Printf.printf "wrote %s (%d cases)\n" path (List.length rows)
-  end
-
-(* BENCH_seg.json holds three differently-shaped cell arrays under one
-   keyed object: the PR 5 pass-cost replay, the era-span replay and the
-   donor-churn sweep. *)
-let emit_seg_json (pass_cells, era_cells, churn_cells) =
-  if !json_out then begin
-    let path = "BENCH_seg.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let array key emit cells =
-          Printf.fprintf oc "  \"%s\": [\n" key;
-          List.iteri
-            (fun i r ->
-              if i > 0 then output_string oc ",\n";
-              emit r)
-            cells;
-          output_string oc "\n  ]"
-        in
-        output_string oc "{\n";
-        array "pass_cost"
-          (fun r ->
-            Printf.fprintf oc
-              "    {\"covered\": %d, \"uncovered\": %d, \"freed_per_pass\": %d, \
-               \"fresh_ns_per_pass\": %.1f, \"forced_ns_per_pass\": %.1f, \
-               \"fresh_max_scan_blocks\": %d, \"forced_max_scan_blocks\": %d, \
-               \"segments_recycled\": %d}"
-              r.sc_covered r.sc_uncovered r.sc_freed r.sc_fresh_ns r.sc_forced_ns
-              r.sc_fresh_blocks r.sc_forced_blocks r.sc_recycled)
-          pass_cells;
-        output_string oc ",\n";
-        array "era_span"
-          (fun r ->
-            Printf.fprintf oc
-              "    {\"covered\": %d, \"uncovered\": %d, \"freed_per_pass\": %d, \
-               \"fresh_ns_per_pass\": %.1f, \"block_keeps\": %d, \"block_skips\": %d, \
-               \"stale_stamps\": %d}"
-              r.ec_covered r.ec_uncovered r.ec_freed r.ec_fresh_ns r.ec_block_keeps
-              r.ec_block_skips r.ec_stale)
-          era_cells;
-        output_string oc ",\n";
-        array "donor_churn"
-          (fun r ->
-            Printf.fprintf oc
-              "    {\"donors\": %d, \"nodes\": %d, \"ns_total\": %.0f, \
-               \"handoff_mops\": %.3f, \"splice_moves\": %d, \"stripe_contention\": %d, \
-               \"donated\": %d, \"adopted\": %d}"
-              r.cc_donors r.cc_nodes r.cc_ns r.cc_mops r.cc_splice_moves r.cc_contention
-              r.cc_donated r.cc_adopted)
-          churn_cells;
-        output_string oc "\n}\n");
-    Printf.printf "wrote %s (%d+%d+%d cells)\n" path (List.length pass_cells)
-      (List.length era_cells) (List.length churn_cells)
-  end
-
-(* BENCH_alloc.json: three thread sweeps under one keyed object, same
-   shape discipline as BENCH_seg.json. *)
-let emit_alloc_json (balanced, imbalanced, churn) =
-  if !json_out then begin
-    let path = "BENCH_alloc.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let array key cells =
-          Printf.fprintf oc "  \"%s\": [\n" key;
-          List.iteri
-            (fun i r ->
-              if i > 0 then output_string oc ",\n";
-              Printf.fprintf oc
-                "    {\"threads\": %d, \"ops\": %d, \"ns_per_op\": %.2f, \
-                 \"block_grabs\": %d, \"block_returns\": %d, \"pool_blocks\": %d, \
-                 \"uaf\": %d, \"double_free\": %d}"
-                r.al_threads r.al_ops r.al_ns_per_op r.al_grabs r.al_returns
-                r.al_pool_blocks r.al_uaf r.al_double_free)
-            cells;
-          output_string oc "\n  ]"
-        in
-        output_string oc "{\n";
-        array "balanced" balanced;
-        output_string oc ",\n";
-        array "imbalanced" imbalanced;
-        output_string oc ",\n";
-        array "churn" churn;
-        output_string oc "\n}\n");
-    Printf.printf "wrote %s (%d+%d+%d cells)\n" path (List.length balanced)
-      (List.length imbalanced) (List.length churn)
-  end
+(* Every figure, in the order [all] runs them. [--fig NAME] runs the
+   row that lists NAME; with [--json], a row that returns JSON writes it
+   to BENCH_<first name>.json, so reruns can be diffed against the
+   committed baselines. *)
+let figures : (string list * (Experiments.scale -> Json.t option)) list =
+  [
+    ([ "micro" ], fig_micro);
+    ([ "1"; "2" ], fun sc -> cells (Experiments.fig_update_heavy sc));
+    ([ "3" ], fun sc -> cells (Experiments.fig_read_heavy sc));
+    ([ "5"; "9" ], fun sc -> cells (Experiments.fig_read_heavy_appendix sc));
+    ([ "4" ], fun sc -> cells (Experiments.fig_long_running_reads sc));
+    ([ "10"; "11" ], fun sc -> cells (Experiments.fig_crystalline sc));
+    ([ "rob" ], fun sc -> cells (Experiments.fig_robustness sc));
+    ([ "deaf" ], fun sc -> cells (Experiments.fig_deaf sc));
+    ([ "churn" ], fun sc -> cells (Experiments.fig_churn sc));
+    ([ "seg" ], fig_seg);
+    ([ "alloc" ], fig_alloc);
+    ([ "kv" ], fun sc -> cells (Experiments.fig_kv sc));
+    ([ "tournament" ], fun sc -> labelled (Experiments.fig_tournament sc));
+    ([ "over" ], fig_oversubscription);
+    ([ "latency" ], fig_signal_latency);
+    ([ "ablation" ], fig_ablation);
+  ]
 
 let usage () =
-  prerr_endline
-    "usage: main.exe [--fig \
-     micro|1|...|11|rob|churn|over|latency|seg|alloc|kv|tournament|ablation|all] [--full] \
-     [--json]";
+  Printf.eprintf "usage: main.exe [--fig %s] [--full] [--json]\n"
+    (String.concat "|" (List.concat_map fst figures @ [ "all" ]));
   exit 2
 
 let () =
-  let fig = ref "all" and full = ref false in
+  let fig = ref "all" and full = ref false and json = ref false in
   let rec parse = function
     | [] -> ()
     | "--fig" :: v :: rest ->
@@ -1092,7 +1065,7 @@ let () =
         full := true;
         parse rest
     | "--json" :: rest ->
-        json_out := true;
+        json := true;
         parse rest
     | ("--help" | "-h") :: _ -> usage ()
     | x :: _ ->
@@ -1101,26 +1074,16 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let sc = if !full then Experiments.full else Experiments.quick in
-  let known =
-    [ "micro"; "1"; "2"; "3"; "4"; "5"; "9"; "10"; "11"; "rob"; "churn"; "over"; "latency";
-      "seg"; "alloc"; "kv"; "tournament"; "ablation"; "all" ]
-  in
-  if not (List.mem !fig known) then usage ();
-  let want tags = List.mem !fig ("all" :: tags) in
-  if want [ "micro" ] then emit_micro_json (fig_micro ());
-  if want [ "1"; "2" ] then emit_json "1" (Experiments.fig_update_heavy sc);
-  if want [ "3" ] then emit_json "3" (Experiments.fig_read_heavy sc);
-  if want [ "5"; "9" ] then emit_json "5" (Experiments.fig_read_heavy_appendix sc);
-  if want [ "4" ] then emit_json "4" (Experiments.fig_long_running_reads sc);
-  if want [ "10"; "11" ] then emit_json "10" (Experiments.fig_crystalline sc);
-  if want [ "rob" ] then emit_json "rob" (Experiments.fig_robustness sc);
-  if want [ "churn" ] then emit_json "churn" (Experiments.fig_churn sc);
-  if want [ "seg" ] then emit_seg_json (fig_seg sc);
-  if want [ "alloc" ] then emit_alloc_json (fig_alloc sc);
-  if want [ "kv" ] then emit_json "kv" (Experiments.fig_kv sc);
-  if want [ "tournament" ] then
-    emit_labelled_json "tournament" (Experiments.fig_tournament sc);
-  if want [ "over" ] then fig_oversubscription sc;
-  if want [ "latency" ] then fig_signal_latency sc;
-  if want [ "ablation" ] then fig_ablation sc;
+  let wanted (names, _) = !fig = "all" || List.mem !fig names in
+  if not (List.exists wanted figures) then usage ();
+  List.iter
+    (fun ((names, run) as row) ->
+      if wanted row then
+        match run sc with
+        | Some doc when !json ->
+            let path = Printf.sprintf "BENCH_%s.json" (List.hd names) in
+            Json.to_file path doc;
+            Printf.printf "wrote %s\n" path
+        | Some _ | None -> ())
+    figures;
   Report.section "bench complete"

@@ -6,8 +6,7 @@ type pass = Plain | Pop
 (* Retire buffers are Blelloch–Wei segmented lists: fixed-size blocks of
    [Smr_config.segment_size] slots, singly linked head→tail. Slots at or
    beyond [len] always hold the heap sentinel, so a block's backing array
-   never pins a freed or drained node (the same scrub discipline
-   [Vec.filter_sub] documents). Every buffer operation the hot paths
+   never pins a freed or drained node. Every buffer operation the hot paths
    need — push, whole-list hand-off, prefix advance — is O(1) in nodes;
    only filtering touches node contents, and only for the blocks it must
    examine. *)

@@ -1,7 +1,7 @@
 (** The shared retire-buffer + scan engine behind every scheme.
 
-    Each scheme used to carry its own copy of the same block: a retired
-    {!Pop_runtime.Vec}, a raw reservation scratch, [Id_set.fill] /
+    Each scheme used to carry its own copy of the same block: a growable
+    array of retired nodes, a raw reservation scratch, [Id_set.fill] /
     [seal], and a [filter_in_place] that frees non-reserved nodes. This
     module owns that block once, and adds three amortizations the copies
     could not share:

@@ -151,21 +151,21 @@ val run : cfg -> result
 val consistent : result -> bool
 (** Sizes match, invariants hold, and no UAF / double free occurred. *)
 
-val to_json : ?label:string -> result -> string
-(** One result as a flat JSON object: a self-describing ["scenario"]
-    descriptor (seed, threads vs cores, stall/churn shapes, load shape
-    — everything needed to reproduce the cell from the emitted file
-    alone), throughput ([mops]), recovery scores ([pre_mops],
-    [recovery_ns], [recovered]), memory peaks
-    ([max_unreclaimed]), safety counters ([uaf], [double_free]),
-    latency percentiles in microseconds ([p50]/[p99]/[p999]/[max],
-    zeros outside KV mode) with the worst reclamation-pass pause
-    ([max_pause]), amortization stats ([frees_per_pass],
-    [snapshot_reuse_ratio]), the sanitizer's per-category tallies under
-    ["violations_by_category"] (an empty object on unsanitized runs)
-    and the full {!Pop_core.Smr_stats} record under ["smr"].
-    Handwritten emitter — no JSON library dependency. *)
+val to_json : ?label:string -> result -> Json.t
+(** One result as a JSON object: its [label], a self-describing
+    ["scenario"] descriptor (seed, threads vs cores, stall/churn shapes,
+    load shape — everything needed to reproduce the cell from the
+    emitted file alone), the data structure ([ds]) and the scheme's
+    name ([scheme]), throughput ([mops]), recovery scores ([pre_mops],
+    [recovery_ns], [recovered]), memory peaks ([max_unreclaimed]),
+    safety counters ([uaf], [double_free]), latency percentiles in
+    microseconds ([p50]/[p99]/[p999]/[max], zeros outside KV mode) with
+    the worst reclamation-pass pause ([max_pause]), amortization stats
+    ([frees_per_pass], [snapshot_reuse_ratio]), the sanitizer's
+    per-category tallies under ["violations_by_category"] (an empty
+    object on unsanitized runs) and the full {!Pop_core.Smr_stats}
+    record under ["smr"]. *)
 
 val write_json : string -> (string * result) list -> unit
 (** [write_json path results] writes a JSON array of labelled results
-    to [path] (e.g. [BENCH_micro.json]). *)
+    to [path] (e.g. [BENCH_kv.json]), one cell per line. *)

@@ -165,6 +165,56 @@ let report_formatting () =
   Alcotest.(check string) "kilo" "123.5K" (Report.fmt_count 123456);
   Alcotest.(check string) "mega" "12.3M" (Report.fmt_count 12345678)
 
+(* --- JSON printer --- *)
+
+let json_escapes () =
+  Alcotest.(check string) "quote, backslash, newline, tab, control"
+    {|"a\"b\\c\nd\te\u0001f"|}
+    (Json.to_string (String "a\"b\\c\nd\te\001f"));
+  Alcotest.(check string) "keys are escaped too" "{\n  \"k\\\"\": 1\n}"
+    (Json.to_string (Obj [ ("k\"", Int 1) ]))
+
+let json_numbers () =
+  List.iter
+    (fun f -> Alcotest.(check string) (Printf.sprintf "%f" f) "null" (Json.to_string (Float f)))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check string) "integral float stays a float" "3.0" (Json.to_string (Float 3.0));
+  Alcotest.(check string) "shortest round trip" "0.1" (Json.to_string (Float 0.1));
+  Alcotest.(check (float 0.0)) "reads back exactly" (1.0 /. 3.0)
+    (float_of_string (Json.to_string (Float (1.0 /. 3.0))));
+  Alcotest.(check string) "int" "-7" (Json.to_string (Int (-7)));
+  Alcotest.(check string) "one cell per line, members inline"
+    "[\n  {\"a\": null, \"b\": [1, true]},\n  {}\n]"
+    (Json.to_string (List [ Obj [ ("a", Float nan); ("b", List [ Int 1; Bool true ]) ]; Obj [] ]))
+
+let json_duplicate_key () =
+  let dup = Invalid_argument "Json: duplicate key \"smr\"" in
+  Alcotest.check_raises "top level" dup (fun () ->
+      ignore (Json.to_string (Obj [ ("smr", String "ebr"); ("smr", Obj []) ])));
+  Alcotest.check_raises "nested" dup (fun () ->
+      ignore (Json.to_string (List [ Obj [ ("x", Obj [ ("smr", Int 1); ("smr", Int 2) ]) ] ])))
+
+let runner_json_keys () =
+  let r =
+    Runner.run
+      { Runner.default_cfg with smr = Dispatch.HPPOP; threads = 1; duration = 0.05; key_range = 64 }
+  in
+  match Runner.to_json ~label:"cell" r with
+  | Obj members ->
+      (* Printing checks every object for a repeated key. *)
+      ignore (Json.to_string (Obj members));
+      let keys = List.map fst members in
+      Alcotest.(check int) "unique top-level keys" (List.length keys)
+        (List.length (List.sort_uniq String.compare keys));
+      Alcotest.(check bool) "scheme is the smr name" true
+        (List.assoc "scheme" members = String (Dispatch.smr_name Dispatch.HPPOP));
+      (match List.assoc "smr" members with
+      | Obj stats ->
+          Alcotest.(check bool) "smr holds the stats" true
+            (List.assoc "freed" stats = Int r.Runner.smr.Pop_core.Smr_stats.freed)
+      | _ -> Alcotest.fail "smr is not an object")
+  | _ -> Alcotest.fail "to_json is not an object"
+
 let runner_sane_metrics () =
   let r =
     Runner.run
@@ -420,6 +470,10 @@ let suite =
     case "workload: kv mix proportions" kv_mix_proportions;
     case "workload: exponential inter-arrivals" exp_interval_sane;
     case "report: number formatting" report_formatting;
+    case "json: string escapes" json_escapes;
+    case "json: numbers, non-finite floats and layout" json_numbers;
+    case "json: duplicate key raises" json_duplicate_key;
+    case "runner: to_json has unique keys and a scheme name" runner_json_keys;
     case "runner: metrics are sane" runner_sane_metrics;
     case "runner: single thread" runner_single_thread;
     case "runner: long-running-reads roles" runner_long_running_reads_roles;

@@ -355,8 +355,7 @@ let concurrent_donate_adopt () =
 (* Recycled blocks must not pin drained nodes under the GC: [take_all]
    scrubs every slot with the sentinel before a block enters the
    freelist, so once the caller drops the drained array the nodes are
-   collectable. Mirrors the Vec scrub regression in test_runtime.ml at
-   the segment-block layer. *)
+   collectable. *)
 let recycled_blocks_do_not_pin () =
   let heap, _c, _eng, rl = make ~segment_size:4 () in
   let w = Weak.create 1 in

@@ -196,134 +196,6 @@ let hist_wide_range () =
       if q <> v then Alcotest.failf "singleton quantile %d for %d (max should win)" q v)
     [ 0; 1; 15; 16; 17; 1023; 1_000_000; 123_456_789_000 ]
 
-(* --- Vec --- *)
-
-let vec_push_get () =
-  let v = Vec.create () in
-  Alcotest.(check bool) "empty" true (Vec.is_empty v);
-  for i = 0 to 99 do
-    Vec.push v i
-  done;
-  Alcotest.(check int) "length" 100 (Vec.length v);
-  for i = 0 to 99 do
-    Alcotest.(check int) "get" i (Vec.get v i)
-  done
-
-let vec_iter_order () =
-  let v = Vec.create () in
-  List.iter (Vec.push v) [ 3; 1; 4; 1; 5 ];
-  let acc = ref [] in
-  Vec.iter (fun x -> acc := x :: !acc) v;
-  Alcotest.(check (list int)) "order" [ 3; 1; 4; 1; 5 ] (List.rev !acc)
-
-let vec_clear () =
-  let v = Vec.create () in
-  List.iter (Vec.push v) [ 1; 2; 3 ];
-  Vec.clear v;
-  Alcotest.(check int) "cleared" 0 (Vec.length v);
-  Vec.push v 9;
-  Alcotest.(check int) "reusable" 9 (Vec.get v 0)
-
-let vec_filter_in_place () =
-  let v = Vec.create () in
-  for i = 0 to 9 do
-    Vec.push v i
-  done;
-  let removed = Vec.filter_in_place (fun x -> x mod 2 = 0) v in
-  Alcotest.(check int) "removed" 5 removed;
-  Alcotest.(check (list int)) "survivors in order" [ 0; 2; 4; 6; 8 ] (Vec.to_list v)
-
-let vec_filter_all_none () =
-  let v = Vec.create () in
-  List.iter (Vec.push v) [ 1; 2; 3 ];
-  Alcotest.(check int) "keep all" 0 (Vec.filter_in_place (fun _ -> true) v);
-  Alcotest.(check int) "drop all" 3 (Vec.filter_in_place (fun _ -> false) v);
-  Alcotest.(check bool) "empty after drop" true (Vec.is_empty v)
-
-let vec_filter_model =
-  QCheck2.Test.make ~name:"vec filter_in_place = List.filter" ~count:300
-    QCheck2.(Gen.pair (Gen.list Gen.small_int) (Gen.int_range 0 10))
-    (fun (xs, m) ->
-      let keep x = x mod (m + 1) <> 0 in
-      let v = Vec.create () in
-      List.iter (Vec.push v) xs;
-      let removed = Vec.filter_in_place keep v in
-      Vec.to_list v = List.filter keep xs
-      && removed = List.length xs - List.length (List.filter keep xs))
-
-let vec_get_out_of_bounds () =
-  let v = Vec.create () in
-  Vec.push v 1;
-  let oob = Invalid_argument "Vec.get: index out of bounds" in
-  Alcotest.check_raises "past end" oob (fun () -> ignore (Vec.get v 1));
-  Alcotest.check_raises "negative" oob (fun () -> ignore (Vec.get v (-1)));
-  Vec.clear v;
-  Alcotest.check_raises "empty" oob (fun () -> ignore (Vec.get v 0))
-
-let vec_filter_sub () =
-  let v = Vec.create () in
-  for i = 0 to 9 do
-    Vec.push v i
-  done;
-  (* Filter only the middle range; prefix and suffix slide down intact. *)
-  let removed = Vec.filter_sub v ~pos:3 ~len:4 (fun x -> x mod 2 = 0) in
-  Alcotest.(check int) "removed from range" 2 removed;
-  Alcotest.(check (list int)) "prefix kept, suffix shifted" [ 0; 1; 2; 4; 6; 7; 8; 9 ]
-    (Vec.to_list v);
-  Alcotest.check_raises "range past end" (Invalid_argument "Vec.filter_sub: bad range")
-    (fun () -> ignore (Vec.filter_sub v ~pos:6 ~len:3 (fun _ -> true)));
-  Alcotest.(check int) "empty range" 0 (Vec.filter_sub v ~pos:4 ~len:0 (fun _ -> false))
-
-(* Regression for the stale-reference leak: a boxed element rejected by
-   the filter must become unreachable once the vec scrubs its vacated
-   slot — before the fix, the backing array kept the dead pointer alive
-   until the slot was overwritten by a later push, pinning arbitrarily
-   large retired nodes under the GC. *)
-let vec_scrub_releases_references () =
-  let dummy = ref (-1) in
-  let v = Vec.create ~dummy () in
-  let w = Weak.create 1 in
-  (* Allocate the tracked box inside a closure so no stack slot keeps it
-     alive after the filter drops it. *)
-  (fun () ->
-    let tracked = ref 42 in
-    Weak.set w 0 (Some tracked);
-    Vec.push v (ref 0);
-    Vec.push v tracked;
-    Vec.push v (ref 1))
-    ();
-  Alcotest.(check bool) "alive while stored" true (Weak.check w 0);
-  let removed = Vec.filter_in_place (fun r -> !r <> 42) v in
-  Alcotest.(check int) "tracked removed" 1 removed;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "unreachable after filter" false (Weak.check w 0);
-  (* Same for clear: the whole backing store is scrubbed. *)
-  (fun () ->
-    let tracked = ref 43 in
-    Weak.set w 0 (Some tracked);
-    Vec.push v tracked)
-    ();
-  Vec.clear v;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "unreachable after clear" false (Weak.check w 0)
-
-(* Without a dummy, a vec of boxed values still must not leak: the
-   fallback scrubber drops the backing array when the vec empties. *)
-let vec_scrub_without_dummy () =
-  let v = Vec.create () in
-  let w = Weak.create 1 in
-  (fun () ->
-    let tracked = ref 7 in
-    Weak.set w 0 (Some tracked);
-    Vec.push v tracked)
-    ();
-  Alcotest.(check int) "dropped" 1 (Vec.filter_in_place (fun _ -> false) v);
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "no dummy, still unreachable" false (Weak.check w 0)
-
 (* --- Backoff --- *)
 
 let backoff_escalates () =
@@ -466,16 +338,6 @@ let suite =
     case "histogram: empty and negative" hist_empty_and_negative;
     case "histogram: merge" hist_merge;
     case "histogram: wide range" hist_wide_range;
-    case "vec: push/get" vec_push_get;
-    case "vec: iter order" vec_iter_order;
-    case "vec: clear" vec_clear;
-    case "vec: filter_in_place" vec_filter_in_place;
-    case "vec: filter edge cases" vec_filter_all_none;
-    QCheck_alcotest.to_alcotest vec_filter_model;
-    case "vec: get out of bounds raises" vec_get_out_of_bounds;
-    case "vec: filter_sub range" vec_filter_sub;
-    case "vec: scrub releases filtered-out references" vec_scrub_releases_references;
-    case "vec: scrub without dummy" vec_scrub_without_dummy;
     case "backoff: escalates and resets" backoff_escalates;
     case "backoff: sleep capped" backoff_sleep_capped;
     case "spinlock: basic" spinlock_basic;

@@ -256,13 +256,20 @@ let sanitized_cfg ds smr =
   }
 
 let sanitized_cell ds smr () =
-  let r = Runner.run (sanitized_cfg ds smr) in
+  let cfg = sanitized_cfg ds smr in
+  let r = Runner.run cfg in
   if r.Runner.uaf <> 0 then Alcotest.failf "UAF: %d" r.Runner.uaf;
   if r.Runner.double_free <> 0 then Alcotest.failf "double free: %d" r.Runner.double_free;
   if not r.Runner.invariants_ok then Alcotest.failf "invariants: %s" r.Runner.invariant_error;
   if r.Runner.total_ops = 0 then Alcotest.fail "no operations executed";
   let v = r.Runner.smr.Smr_stats.violations in
-  if v <> 0 then Alcotest.failf "%d protocol violations under %s" v (Dispatch.smr_name smr)
+  if v <> 0 then
+    Alcotest.failf "%d protocol violations under %s (seed %d): %s" v (Dispatch.smr_name smr)
+      cfg.Runner.seed
+      (String.concat ", "
+         (List.filter_map
+            (fun (k, n) -> if n <> 0 then Some (Printf.sprintf "%s=%d" k n) else None)
+            r.Runner.violations_by_category))
 
 (* The unsafe scheme frees retired nodes immediately, so a reserved
    incarnation dies under a live reservation and the next check misses

@@ -45,12 +45,28 @@
 #      imbalance exists (threads >= 2), zero UAF and zero double
 #      frees everywhere (run from _build so the committed repo-root
 #      baseline is not overwritten)
-# When python3 is absent every python assertion falls back to greps
-# that check the load-bearing keys exist and no null snuck into a
-# numeric field — the gate must never pass vacuously.
+# Every python check loads its file through one loader that fails on a
+# duplicate key in any object (json.load alone keeps the last one and
+# hides the first). When python3 is absent every python assertion falls
+# back to greps that check the load-bearing keys exist and no null
+# snuck into a numeric field — the gate must never pass vacuously.
 # Run from the repository root: sh tools/tier1.sh
 set -e
 cd "$(dirname "$0")/.."
+# json_check FILE runs the python check read from stdin with FILE
+# already parsed into `doc`.
+json_loader='import json, sys
+def unique_keys(pairs):
+    keys = [k for k, _ in pairs]
+    dups = sorted({k for k in keys if keys.count(k) > 1})
+    assert not dups, "%s: duplicate keys %s" % (sys.argv[1], dups)
+    return dict(pairs)
+with open(sys.argv[1]) as f:
+    doc = json.load(f, object_pairs_hook=unique_keys)
+'
+json_check() {
+  python3 -c "$json_loader$(cat)" "$1"
+}
 dune build
 dune runtest
 dune build @lint
@@ -65,20 +81,20 @@ trap 'rm -f "$json_smoke" "$churn_smoke" "$tournament_smoke"; rm -rf "$seg_smoke
 ./_build/default/bin/popbench.exe --ds hml --smr epoch-pop -t 2 -d 0.2 \
   --json "$json_smoke" > /dev/null
 if command -v python3 > /dev/null 2>&1; then
-  python3 - "$json_smoke" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    cells = json.load(f)
+  json_check "$json_smoke" <<'EOF'
+cells = doc
 assert isinstance(cells, list) and cells, "expected a non-empty JSON array"
 for cell in cells:
     assert "mops" in cell, "throughput key missing"
     assert isinstance(cell["mops"], (int, float)), "mops is not a finite number (null cell?)"
     assert "smr" in cell and "snapshot_reuses" in cell["smr"], "smr stats missing"
+    assert cell["scheme"] == "epoch-pop", "scheme name missing or wrong"
 print("json smoke: ok (%d cells)" % len(cells))
 EOF
 else
   grep -q '"mops"' "$json_smoke"
   grep -q '"snapshot_reuses"' "$json_smoke"
+  grep -q '"scheme": "epoch-pop"' "$json_smoke"
   if grep -q '"mops": null' "$json_smoke"; then
     echo "json smoke: FAIL (null throughput)" >&2
     exit 1
@@ -89,10 +105,8 @@ fi
   --churn 1,1,1 --ping-timeout 20 --sanitize --seed 7 \
   --json "$churn_smoke" > /dev/null
 if command -v python3 > /dev/null 2>&1; then
-  python3 - "$churn_smoke" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    cells = json.load(f)
+  json_check "$churn_smoke" <<'EOF'
+cells = doc
 assert len(cells) == 1, "expected one churn cell"
 c = cells[0]
 for k in ("exited", "crashed", "joined"):
@@ -131,10 +145,7 @@ mkdir -p "$seg_smoke_dir"
 bench_exe="$(pwd)/_build/default/bench/main.exe"
 (cd "$seg_smoke_dir" && "$bench_exe" --fig seg --json > /dev/null)
 if command -v python3 > /dev/null 2>&1; then
-  python3 - "$seg_smoke_dir/BENCH_seg.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
+  json_check "$seg_smoke_dir/BENCH_seg.json" <<'EOF'
 assert isinstance(doc, dict), "expected a keyed object of cell arrays"
 for key in ("pass_cost", "era_span", "donor_churn"):
     assert doc.get(key), "missing or empty %s cells" % key
@@ -169,10 +180,8 @@ fi
 mkdir -p "$kv_smoke_dir"
 (cd "$kv_smoke_dir" && "$bench_exe" --fig kv --json > /dev/null)
 if command -v python3 > /dev/null 2>&1; then
-  python3 - "$kv_smoke_dir/BENCH_kv.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    cells = json.load(f)
+  json_check "$kv_smoke_dir/BENCH_kv.json" <<'EOF'
+cells = doc
 assert isinstance(cells, list) and cells, "expected a non-empty JSON array"
 for cell in cells:
     assert cell["kv"], "cell not in KV mode"
@@ -203,10 +212,7 @@ fi
 mkdir -p "$alloc_smoke_dir"
 (cd "$alloc_smoke_dir" && "$bench_exe" --fig alloc --json > /dev/null)
 if command -v python3 > /dev/null 2>&1; then
-  python3 - "$alloc_smoke_dir/BENCH_alloc.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
+  json_check "$alloc_smoke_dir/BENCH_alloc.json" <<'EOF'
 assert isinstance(doc, dict), "expected a keyed object of thread sweeps"
 for key in ("balanced", "imbalanced", "churn"):
     assert doc.get(key), "missing or empty %s sweep" % key
@@ -246,10 +252,8 @@ fi
 ./_build/default/bin/popbench.exe --tournament --smrs ebr,hyaline-1s \
   --scenarios stall-poll,crash,kv-skew --json "$tournament_smoke" > /dev/null
 if command -v python3 > /dev/null 2>&1; then
-  python3 - "$tournament_smoke" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    cells = json.load(f)
+  json_check "$tournament_smoke" <<'EOF'
+cells = doc
 assert len(cells) == 6, "expected 2 schemes x 3 scenarios, got %d cells" % len(cells)
 scenarios = set()
 for c in cells:
