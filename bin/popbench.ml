@@ -23,7 +23,8 @@ let smr_conv =
           (`Msg
              (Printf.sprintf
                 "unknown SMR %S \
-                 (nr|hp|hp-asym|he|ebr|ibr|nbr|hp-pop|he-pop|epoch-pop|hyaline|hyaline-1|hyaline-1s|cadence)"
+                 (nr|hp|hp-asym|he|ebr|ibr|nbr|hp-pop|he-pop|epoch-pop|hyaline-1|hyaline-1s|cadence; \
+                 hyaline = hyaline-1)"
                 s))
   in
   Arg.conv (parse, fun fmt a -> Format.pp_print_string fmt (Dispatch.smr_name a))

@@ -91,7 +91,7 @@ let maybe_tick ctx =
           Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
             ~timed_out:ctx.timeout_scratch
         in
-        Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
+        Counters.bump g.c Handshake_timeouts ~tid:ctx.tid timeouts;
         (* Only a clean round is a real barrier: a timed-out peer never
            fenced, so its reservation stores may be unordered and the
            tick must not advance. The clock still resets, so a deaf peer
@@ -150,7 +150,7 @@ let reclaim ctx ~force =
       Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
         ~timed_out:ctx.timeout_scratch
     in
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
+    Counters.bump g.c Handshake_timeouts ~tid:ctx.tid timeouts;
     if timeouts = 0 then begin
       Atomic.incr g.tick;
       Atomic.incr g.tick;

@@ -103,7 +103,7 @@ let reclaim ?force ctx =
        has drained by then (see HazardPtrPOP); an in-flight unvalidated
        reservation is safe to honour because the validating re-read
        retries on conflict. *)
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
+    Counters.bump g.c Handshake_timeouts ~tid:ctx.tid timeouts;
     Reservations.collect_local g.res scratch
   in
   ignore

@@ -8,8 +8,8 @@ let name = "hyaline-1"
    simulator keeps the counter beside the node array instead of reusing
    a node's link word). [refs] starts at 0 and is adjusted exactly once,
    by the retirer, with the number of slots the batch was enlisted on —
-   the deferred-adjustment protocol of Hyaline-1, as opposed to
-   [Hyaline_lite]'s eager creator-token (+1 per slot up front). *)
+   the deferred-adjustment protocol of Hyaline-1, rather than an eager
+   +1 per slot up front. *)
 type 'a batch = { nodes : 'a Heap.node array; refs : int Atomic.t }
 
 (* A thread's slot: [Inactive] outside operations, [Active enlisted]
@@ -100,12 +100,12 @@ let adjust ctx batch =
   end
 
 let reclaim ctx =
-  Counters.reclaim_pass ctx.g.c ~tid:ctx.tid;
+  Counters.bump ctx.g.c Reclaim_passes ~tid:ctx.tid 1;
   (* The pass here is drain + adjust (frees happen lazily on traverse),
      so that whole span is this scheme's reclamation pause. *)
   let t0 = Clock.now () in
   adjust ctx { nodes = Reclaimer.take_all ctx.rl; refs = Atomic.make 0 };
-  Counters.note_pause ctx.g.c ~tid:ctx.tid (int_of_float (Clock.elapsed t0 *. 1e9))
+  Counters.bump ctx.g.c Max_pause_ns ~tid:ctx.tid (int_of_float (Clock.elapsed t0 *. 1e9))
 
 let retire ctx n =
   Reclaimer.retire ctx.rl n;

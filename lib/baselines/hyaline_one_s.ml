@@ -128,7 +128,7 @@ let adjust ctx batch ~min_birth =
   end
 
 let reclaim ctx =
-  Counters.reclaim_pass ctx.g.c ~tid:ctx.tid;
+  Counters.bump ctx.g.c Reclaim_passes ~tid:ctx.tid 1;
   let t0 = Clock.now () in
   (* Bump the global era at batch formation: later allocations are born
      into a newer era, so frozen threads fall behind the min-birth
@@ -139,7 +139,7 @@ let reclaim ctx =
     Array.fold_left (fun acc n -> min acc n.Heap.birth_era) max_int nodes
   in
   adjust ctx { nodes; refs = Atomic.make 0 } ~min_birth;
-  Counters.note_pause ctx.g.c ~tid:ctx.tid (int_of_float (Clock.elapsed t0 *. 1e9))
+  Counters.bump ctx.g.c Max_pause_ns ~tid:ctx.tid (int_of_float (Clock.elapsed t0 *. 1e9))
 
 let retire ctx n =
   n.Heap.retire_era <- Atomic.get ctx.g.era;

@@ -105,7 +105,7 @@ let read ctx _slot addr _proj =
   Softsignal.poll ctx.port;
   if ctx.neutralized then begin
     ctx.neutralized <- false;
-    Counters.restart ctx.g.c ~tid:ctx.tid;
+    Counters.bump ctx.g.c Restarts ~tid:ctx.tid 1;
     if ctx.published_slots > 0 then clear_published ctx;
     raise Smr.Restart
   end;
@@ -131,7 +131,7 @@ let enter_write_phase ctx nodes =
   Softsignal.poll ctx.port;
   if ctx.neutralized then begin
     ctx.neutralized <- false;
-    Counters.restart ctx.g.c ~tid:ctx.tid;
+    Counters.bump ctx.g.c Restarts ~tid:ctx.tid 1;
     clear_published ctx;
     raise Smr.Restart
   end;
@@ -151,7 +151,7 @@ let ensure_round ctx =
       Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
         ~timed_out:ctx.timeout_scratch
     in
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
+    Counters.bump g.c Handshake_timeouts ~tid:ctx.tid timeouts;
     if timeouts = 0 then Atomic.set g.clean_rounds_done s;
     Atomic.set g.rounds_done s;
     Atomic.set g.round_active false;

@@ -1,93 +1,53 @@
-(** Per-thread statistic counters shared by all SMR implementations. *)
+(** Per-thread statistic counters shared by all SMR implementations: one
+    {!Pop_runtime.Striped} row per {!counter}, read by {!snapshot}. *)
+
+(** Each constructor is named after the {!Smr_stats.t} field it feeds
+    (see there for what it counts), except the two occupancy gauges.
+    The [Max_*] counters keep the largest value bumped; every other
+    counter sums. *)
+type counter =
+  | Retired
+  | Freed
+  | Reclaim_passes
+  | Pop_passes
+  | Scan_skips
+  | Snapshot_reuses
+  | Retire_segments
+  | Segments_recycled
+  | Seg_slots
+      (** Gauge: segment-block slots in service (negative bumps when a
+          block leaves service). With [Seg_nodes] it yields
+          [segment_occupancy]. *)
+  | Seg_nodes  (** Gauge: retired nodes held in segment blocks. *)
+  | Max_scan_blocks
+  | Restarts
+  | Handshake_timeouts
+  | Block_skips
+  | Block_keeps
+  | Stale_stamps
+  | Orphans_donated
+  | Orphans_adopted
+  | Orphan_stripe_contention
+  | Max_pause_ns
+  | Max_unreclaimed
 
 type t
 
 val create : int -> t
 (** [create max_threads]. *)
 
-val retire : t -> tid:int -> unit
-
-val free : t -> tid:int -> int -> unit
-(** [free t ~tid n] records [n] nodes freed. *)
-
-val reclaim_pass : t -> tid:int -> unit
-
-val pop_pass : t -> tid:int -> unit
-
-val restart : t -> tid:int -> unit
-
-val handshake_timeout : t -> tid:int -> int -> unit
-(** [handshake_timeout t ~tid n] records [n] peers timing out in one of
-    [tid]'s {!Handshake.ping_and_wait} rounds (no-op when [n = 0]). *)
-
-val scan_skip : t -> tid:int -> unit
-(** A triggered pass that skipped rescanning already-checked nodes. *)
-
-val snapshot_reuse : t -> tid:int -> unit
-(** A triggered pass served from the cached reservation snapshot. *)
-
-val segment : t -> tid:int -> unit
-(** A fresh scan pass sealed a new checked segment of a retire list. *)
-
-val segment_recycle : t -> tid:int -> unit
-(** A fully-freed segment block was returned to the block freelist. *)
-
-val seg_slots_add : t -> tid:int -> int -> unit
-(** [seg_slots_add t ~tid n] adjusts the number of segment-block slots
-    in service by [n] (negative when a block leaves service; no-op when
-    [n = 0]). *)
-
-val seg_nodes_add : t -> tid:int -> int -> unit
-(** [seg_nodes_add t ~tid n] adjusts the number of retired nodes held in
-    segment blocks by [n] (negative on free/drain; no-op when [n = 0]).
-    Together with {!seg_slots_add} this yields the snapshot's
-    [segment_occupancy] percentage. *)
-
-val note_scan_blocks : t -> tid:int -> int -> unit
-(** [note_scan_blocks t ~tid n] records that one of [tid]'s fresh passes
-    touched [n] segment blocks; the snapshot reports the max over all
-    threads. Each slot is single-writer ([tid] only scans its own
-    buffer), so no CAS loop is needed. *)
-
-val note_pause : t -> tid:int -> int -> unit
-(** [note_pause t ~tid ns] records that one of [tid]'s reclamation
-    passes took [ns] wall-clock nanoseconds; the snapshot reports the
-    max over all threads ({!Smr_stats.t.max_pause_ns}). Single-writer
-    per slot, like {!note_scan_blocks}. *)
-
-val block_skip : t -> tid:int -> unit
-(** An era-interval fast pass freed a whole segment block on one stamp
-    probe, without touching its nodes. *)
-
-val block_keep : t -> tid:int -> unit
-(** An era-interval fast pass kept a whole segment block on one stamp
-    probe, skipping the per-node keep closure. *)
-
-val stale_stamp : t -> tid:int -> unit
-(** A node's era interval fell outside its block's stamps — an engine
-    invariant violation surfaced through {!Smr_stats.t.stale_stamps}
-    and the sanitizer. *)
-
-val orphan_stripe_contention : t -> tid:int -> unit
-(** A donor or adopter hit a held orphanage-stripe lock. *)
-
-val orphan_donate : t -> tid:int -> int -> unit
-(** [orphan_donate t ~tid n] records [n] retired nodes donated to the
-    {!Reclaimer} orphanage by departing thread [tid] (no-op when
-    [n = 0]). *)
-
-val orphan_adopt : t -> tid:int -> int -> unit
-(** [orphan_adopt t ~tid n] records [n] orphaned nodes adopted into
-    [tid]'s retire buffer (no-op when [n = 0]). *)
+val bump : t -> counter -> tid:int -> int -> unit
+(** [bump t k ~tid n] adds [n] to [tid]'s slot of [k], or, for a
+    [Max_*] counter, raises that slot to [n] if [n] is larger. A
+    [Max_*] slot must only be bumped by [tid] itself (single-writer, so
+    no CAS loop). [n = 0] is a no-op and costs no atomic RMW. *)
 
 val unreclaimed : t -> int
 (** Retired minus freed, racily summed. *)
 
 val note_unreclaimed : t -> tid:int -> unit
-(** Sample the racy {!unreclaimed} sum into [tid]'s high-watermark
-    stripe (single-writer max, like {!note_pause}). Call at the entry of
-    each reclamation pass; the snapshot reports the max over all threads
-    as {!Smr_stats.t.max_unreclaimed}. *)
+(** Bump [Max_unreclaimed] with the racy {!unreclaimed} sum. Call at
+    the entry of each of [tid]'s reclamation passes. *)
 
 val snapshot :
   ?hs:Handshake.t ->

@@ -104,7 +104,7 @@ let reclaim ?force ctx =
       Handshake.ping_and_wait g.hs ~port:ctx.port ~scratch:ctx.counter_scratch
         ~timed_out:ctx.timeout_scratch
     in
-    Counters.handshake_timeout g.c ~tid:ctx.tid timeouts;
+    Counters.bump g.c Handshake_timeouts ~tid:ctx.tid timeouts;
     Reservations.publish g.res ~tid:ctx.tid;
     let k = Reservations.collect_shared g.res scratch in
     (* A timed-out peer never ran its handler, so its shared row is stale.

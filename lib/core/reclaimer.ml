@@ -181,7 +181,7 @@ let stamp_node b (n : 'a Heap.node) =
    compares, never an extra traversal. *)
 let check_stamp l b (n : 'a Heap.node) =
   if n.Heap.birth_era < b.min_birth || n.Heap.retire_era > b.max_retire then
-    Counters.stale_stamp l.r.c ~tid:l.tid
+    Counters.bump l.r.c Stale_stamps ~tid:l.tid 1
 
 (* Pop the freelist or allocate; the sentinel dummy is permanently live,
    so unused slots never pin a reclaimable node. *)
@@ -204,7 +204,7 @@ let new_block l =
           max_retire = min_int;
         }
   in
-  Counters.seg_slots_add l.r.c ~tid:l.tid l.r.seg_size;
+  Counters.bump l.r.c Seg_slots ~tid:l.tid l.r.seg_size;
   b
 
 (* Scrub the occupied prefix (slots past [len] are sentinel already, by
@@ -219,8 +219,8 @@ let recycle_block l b =
   b.next <- l.free_head;
   l.free_head <- Some b;
   l.free_len <- l.free_len + 1;
-  Counters.seg_slots_add l.r.c ~tid:l.tid (-l.r.seg_size);
-  Counters.segment_recycle l.r.c ~tid:l.tid
+  Counters.bump l.r.c Seg_slots ~tid:l.tid (-l.r.seg_size);
+  Counters.bump l.r.c Segments_recycled ~tid:l.tid 1
 
 (* Free the first [d] nodes parked in the doomed scratch as one
    whole-block call and scrub the scratch behind them. This is the only
@@ -300,10 +300,10 @@ let filter_blist ?block_keep l bl keep =
     | Some b -> (
         match verdict b with
         | Keep_block ->
-            Counters.block_keep l.r.c ~tid:l.tid;
+            Counters.bump l.r.c Block_keeps ~tid:l.tid 1;
             walk cur b.next
         | Free_block ->
-            Counters.block_skip l.r.c ~tid:l.tid;
+            Counters.bump l.r.c Block_skips ~tid:l.tid 1;
             for i = 0 to b.len - 1 do
               check_stamp l b b.slots.(i)
             done;
@@ -326,7 +326,7 @@ let filter_blist ?block_keep l bl keep =
             for i = 0 to b.len - 1 do
               let n = b.slots.(i) in
               if n.Heap.birth_era < saved_min_birth || n.Heap.retire_era > saved_max_retire
-              then Counters.stale_stamp l.r.c ~tid:l.tid;
+              then Counters.bump l.r.c Stale_stamps ~tid:l.tid 1;
               if keep n then begin
                 if !j <> i then begin
                   b.slots.(!j) <- n;
@@ -362,15 +362,15 @@ let filter_blist ?block_keep l bl keep =
 
 let retire l n =
   push_node l l.open_seg n;
-  Counters.seg_nodes_add l.r.c ~tid:l.tid 1;
-  Counters.retire l.r.c ~tid:l.tid
+  Counters.bump l.r.c Seg_nodes ~tid:l.tid 1;
+  Counters.bump l.r.c Retired ~tid:l.tid 1
 
-let retire_leak l (_ : 'a Heap.node) = Counters.retire l.r.c ~tid:l.tid
+let retire_leak l (_ : 'a Heap.node) = Counters.bump l.r.c Retired ~tid:l.tid 1
 
 let retire_now l n =
-  Counters.retire l.r.c ~tid:l.tid;
+  Counters.bump l.r.c Retired ~tid:l.tid 1;
   Heap.free l.r.heap ~tid:l.tid n;
-  Counters.free l.r.c ~tid:l.tid 1
+  Counters.bump l.r.c Freed ~tid:l.tid 1
 
 let free_unpublished l n = Heap.free l.r.heap ~tid:l.tid n
 
@@ -378,7 +378,7 @@ let free_unpublished l n = Heap.free l.r.heap ~tid:l.tid n
    one whole-block call, not [Array.length] per-node frees. *)
 let free_array l nodes =
   Heap.free_block l.r.heap ~tid:l.tid nodes;
-  Counters.free l.r.c ~tid:l.tid (Array.length nodes)
+  Counters.bump l.r.c Freed ~tid:l.tid (Array.length nodes)
 
 let pending l = l.covered.nodes + l.open_seg.nodes
 
@@ -403,7 +403,7 @@ let donate l =
   if n > 0 then begin
     let st = l.r.orphans.(l.tid mod Array.length l.r.orphans) in
     if not (Spinlock.try_lock st.s_lock) then begin
-      Counters.orphan_stripe_contention l.r.c ~tid:l.tid;
+      Counters.bump l.r.c Orphan_stripe_contention ~tid:l.tid 1;
       Spinlock.lock st.s_lock
     end;
     splice_blist st.s_list l.covered;
@@ -411,7 +411,7 @@ let donate l =
     Atomic.set st.s_count st.s_list.nodes;
     Spinlock.unlock st.s_lock;
     ignore (Atomic.fetch_and_add l.r.orphan_count n);
-    Counters.orphan_donate l.r.c ~tid:l.tid n
+    Counters.bump l.r.c Orphans_donated ~tid:l.tid n
   end
 
 let orphans_pending r = Atomic.get r.orphan_count
@@ -446,10 +446,10 @@ let adopt l =
             total := !total + n
           end
         end
-        else Counters.orphan_stripe_contention l.r.c ~tid:l.tid
+        else Counters.bump l.r.c Orphan_stripe_contention ~tid:l.tid 1
     done;
     l.adopt_cursor <- (l.adopt_cursor + 1) mod ns;
-    if !total > 0 then Counters.orphan_adopt l.r.c ~tid:l.tid !total;
+    Counters.bump l.r.c Orphans_adopted ~tid:l.tid !total;
     !total
   end
 
@@ -482,16 +482,16 @@ let take_all l =
   in
   drain l.covered;
   drain l.open_seg;
-  Counters.seg_nodes_add l.r.c ~tid:l.tid (-total);
+  Counters.bump l.r.c Seg_nodes ~tid:l.tid (-total);
   out
 
 let note_skip l =
   Counters.note_unreclaimed l.r.c ~tid:l.tid;
-  Counters.scan_skip l.r.c ~tid:l.tid
+  Counters.bump l.r.c Scan_skips ~tid:l.tid 1
 
 let count_pass l = function
-  | Plain -> Counters.reclaim_pass l.r.c ~tid:l.tid
-  | Pop -> Counters.pop_pass l.r.c ~tid:l.tid
+  | Plain -> Counters.bump l.r.c Reclaim_passes ~tid:l.tid 1
+  | Pop -> Counters.bump l.r.c Pop_passes ~tid:l.tid 1
 
 (* Pop up to [quota] blocks that were covered *before* this pass spliced
    its open segment in, and re-vet their nodes against the snapshot just
@@ -521,11 +521,11 @@ let rescan_covered ?block_keep l ~quota ~keep ~freed ~touched =
         | Keep_block ->
             (* Still covered in full: relink the block to the covered
                tail without reading a node (stamps travel with it). *)
-            Counters.block_keep l.r.c ~tid:l.tid;
+            Counters.bump l.r.c Block_keeps ~tid:l.tid 1;
             append_block l.covered b;
             l.covered.nodes <- l.covered.nodes + b.len
         | Free_block ->
-            Counters.block_skip l.r.c ~tid:l.tid;
+            Counters.bump l.r.c Block_skips ~tid:l.tid 1;
             for i = 0 to b.len - 1 do
               check_stamp l b b.slots.(i)
             done;
@@ -565,8 +565,8 @@ let scan ?(force = false) ?(fill = true) ?block_keep ~kind ~collect ~except ~kee
        block lists the covered watermark is the list boundary itself,
        so there is nothing to advance: O(1) flat, instead of the seed's
        O(T×H + n log n + n) pass. *)
-    Counters.snapshot_reuse l.r.c ~tid:l.tid;
-    Counters.scan_skip l.r.c ~tid:l.tid;
+    Counters.bump l.r.c Snapshot_reuses ~tid:l.tid 1;
+    Counters.bump l.r.c Scan_skips ~tid:l.tid 1;
     0
   end
   else begin
@@ -603,11 +603,11 @@ let scan ?(force = false) ?(fill = true) ?block_keep ~kind ~collect ~except ~kee
        collect read the table is in this snapshot, so handler bumps
        caused by our own ping round must not mark it stale. *)
     l.snap_gen <- Atomic.get l.r.gen;
-    Counters.note_pause l.r.c ~tid:l.tid (int_of_float (Clock.elapsed t0 *. 1e9));
-    Counters.note_scan_blocks l.r.c ~tid:l.tid !touched;
-    Counters.seg_nodes_add l.r.c ~tid:l.tid (- !freed);
-    Counters.segment l.r.c ~tid:l.tid;
-    Counters.free l.r.c ~tid:l.tid !freed;
+    Counters.bump l.r.c Max_pause_ns ~tid:l.tid (int_of_float (Clock.elapsed t0 *. 1e9));
+    Counters.bump l.r.c Max_scan_blocks ~tid:l.tid !touched;
+    Counters.bump l.r.c Seg_nodes ~tid:l.tid (- !freed);
+    Counters.bump l.r.c Retire_segments ~tid:l.tid 1;
+    Counters.bump l.r.c Freed ~tid:l.tid !freed;
     !freed
   end
 
@@ -622,10 +622,10 @@ let scan_plain ~kind ~keep l =
   let touched = l.covered.blocks + l.open_seg.blocks in
   let freed = filter_blist l l.covered keep in
   let freed = freed + filter_blist l l.open_seg keep in
-  Counters.note_pause l.r.c ~tid:l.tid (int_of_float (Clock.elapsed t0 *. 1e9));
-  Counters.note_scan_blocks l.r.c ~tid:l.tid touched;
-  Counters.seg_nodes_add l.r.c ~tid:l.tid (-freed);
-  Counters.free l.r.c ~tid:l.tid freed;
+  Counters.bump l.r.c Max_pause_ns ~tid:l.tid (int_of_float (Clock.elapsed t0 *. 1e9));
+  Counters.bump l.r.c Max_scan_blocks ~tid:l.tid touched;
+  Counters.bump l.r.c Seg_nodes ~tid:l.tid (-freed);
+  Counters.bump l.r.c Freed ~tid:l.tid freed;
   freed
 
 (* The era-interval pass, owned by the engine so schemes never probe

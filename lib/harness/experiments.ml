@@ -171,9 +171,9 @@ let fig_long_running_reads sc =
   !acc
 
 let fig_crystalline sc =
-  fig_mixed ~title:"Fig 10-11 (incl. hyaline) update-heavy" ~mix:Workload.update_heavy
+  fig_mixed ~title:"Fig 10-11 (incl. hyaline-1) update-heavy" ~mix:Workload.update_heavy
     ~dss:[ Dispatch.HML; Dispatch.HMHT ]
-    ~smrs:(Dispatch.paper_smrs @ [ Dispatch.HYALINE ])
+    ~smrs:(Dispatch.paper_smrs @ [ Dispatch.HYALINE1 ])
     sc
 
 let fig_robustness sc =
@@ -403,7 +403,7 @@ let fig_deaf sc =
 (* ------------------------------------------------------------------ *)
 
 let tournament_smrs =
-  Dispatch.[ EBR; IBR; HE; HP; HPPOP; HEPOP; EPOCHPOP; HYALINE; HYALINE1; HYALINE1S ]
+  Dispatch.[ EBR; IBR; HE; HP; HPPOP; HEPOP; EPOCHPOP; HYALINE1; HYALINE1S ]
 
 (* Each scenario is (name, one-line description, cfg builder). All cells
    run sanitized so the committed JSON doubles as a safety check, and

@@ -57,7 +57,8 @@ val fig_long_running_reads : scale -> Runner.result list
     the read-throughput ratio vs NR. *)
 
 val fig_crystalline : scale -> Runner.result list
-(** Appendix Figures 10–11: HML and HMHT including Hyaline-lite. *)
+(** Appendix Figures 10–11: HML and HMHT including Hyaline-1, the
+    Crystalline-family comparator. *)
 
 val fig_robustness : scale -> Runner.result list
 (** The robustness claim (Properties 3/5): one thread stalls mid-
@@ -85,7 +86,7 @@ val fig_kv : scale -> Runner.result list
 
 val tournament_smrs : Dispatch.smr_kind list
 (** The default tournament entrants: the paper's ping-based algorithms,
-    the classic baselines and all three Hyalines. *)
+    the classic baselines and both Hyalines. *)
 
 val fig_tournament :
   ?smrs:Dispatch.smr_kind list ->

@@ -462,29 +462,65 @@ let config_validation () =
       | exception Invalid_argument _ -> ())
     bad_cases
 
+(* The counter table's wiring: every constructor reaches exactly its own
+   [to_alist] row and combines the way its name says (a gauge shows
+   through [segment_occupancy], against a pre-bumped partner). [spec] is
+   an exhaustive match, so a counter without a row here does not
+   compile, and its [next] link chains the constructors so the walk from
+   [Retired] visits every one. *)
+type combine = Sum | Max | Gauge of Counters.counter * int
+
+let counter_spec : Counters.counter -> string * combine * Counters.counter option = function
+  | Retired -> ("retired", Sum, Some Freed)
+  | Freed -> ("freed", Sum, Some Reclaim_passes)
+  | Reclaim_passes -> ("reclaim_passes", Sum, Some Pop_passes)
+  | Pop_passes -> ("pop_passes", Sum, Some Scan_skips)
+  | Scan_skips -> ("scan_skips", Sum, Some Snapshot_reuses)
+  | Snapshot_reuses -> ("snapshot_reuses", Sum, Some Retire_segments)
+  | Retire_segments -> ("retire_segments", Sum, Some Segments_recycled)
+  | Segments_recycled -> ("segments_recycled", Sum, Some Seg_slots)
+  | Seg_slots -> ("segment_occupancy", Gauge (Seg_nodes, 4), Some Seg_nodes)
+  | Seg_nodes -> ("segment_occupancy", Gauge (Seg_slots, 16), Some Max_scan_blocks)
+  | Max_scan_blocks -> ("max_scan_blocks", Max, Some Restarts)
+  | Restarts -> ("restarts", Sum, Some Handshake_timeouts)
+  | Handshake_timeouts -> ("handshake_timeouts", Sum, Some Block_skips)
+  | Block_skips -> ("block_skips", Sum, Some Block_keeps)
+  | Block_keeps -> ("block_keeps", Sum, Some Stale_stamps)
+  | Stale_stamps -> ("stale_stamps", Sum, Some Orphans_donated)
+  | Orphans_donated -> ("orphans_donated", Sum, Some Orphans_adopted)
+  | Orphans_adopted -> ("orphans_adopted", Sum, Some Orphan_stripe_contention)
+  | Orphan_stripe_contention -> ("orphan_stripe_contention", Sum, Some Max_pause_ns)
+  | Max_pause_ns -> ("max_pause_ns", Max, Some Max_unreclaimed)
+  | Max_unreclaimed -> ("max_unreclaimed", Max, None)
+
 let counters_snapshot () =
   let hub = Softsignal.create ~max_threads:2 in
-  let c = Counters.create 2 in
-  Counters.retire c ~tid:0;
-  Counters.retire c ~tid:1;
-  Counters.retire c ~tid:1;
-  Counters.free c ~tid:1 2;
-  Counters.reclaim_pass c ~tid:0;
-  Counters.pop_pass c ~tid:1;
-  Counters.restart c ~tid:0;
-  Counters.handshake_timeout c ~tid:0 2;
-  Counters.handshake_timeout c ~tid:1 0;
-  let s = Counters.snapshot c ~hub ~epoch:5 in
-  Alcotest.(check int) "retired" 3 s.Smr_stats.retired;
-  Alcotest.(check int) "freed" 2 s.Smr_stats.freed;
-  Alcotest.(check int) "unreclaimed" 1 s.Smr_stats.unreclaimed;
-  Alcotest.(check int) "passes" 1 s.Smr_stats.reclaim_passes;
-  Alcotest.(check int) "pop passes" 1 s.Smr_stats.pop_passes;
-  Alcotest.(check int) "restarts" 1 s.Smr_stats.restarts;
-  Alcotest.(check int) "epoch" 5 s.Smr_stats.epoch;
-  Alcotest.(check int) "handshake timeouts" 2 s.Smr_stats.handshake_timeouts;
-  Alcotest.(check int) "violations" 0 s.Smr_stats.violations;
-  Alcotest.(check int) "gauge" 1 (Counters.unreclaimed c)
+  let rows c = Smr_stats.to_alist (Counters.snapshot c ~hub ~epoch:5) in
+  let rec walk k =
+    let row, combine, next = counter_spec k in
+    let c = Counters.create 2 in
+    (match combine with Gauge (partner, n) -> Counters.bump c partner ~tid:0 n | Sum | Max -> ());
+    let before = rows c in
+    Counters.bump c k ~tid:0 0;
+    Alcotest.(check (list (pair string int))) (row ^ ": bump of 0 is a no-op") before (rows c);
+    Counters.bump c k ~tid:0 3;
+    Counters.bump c k ~tid:1 5;
+    (* A smaller later bump must not lower a max. *)
+    if combine = Max then Counters.bump c k ~tid:1 1;
+    let after = rows c in
+    let expected = match combine with Sum -> 8 | Max -> 5 | Gauge _ -> 50 in
+    Alcotest.(check int) row expected (List.assoc row after);
+    List.iter2
+      (fun (label, v0) (_, v1) ->
+        if label <> row && label <> "unreclaimed" && label <> "max_unreclaimed" then
+          Alcotest.(check int) (Printf.sprintf "%s: %s unmoved" row label) v0 v1)
+      before after;
+    Alcotest.(check int) "epoch passed through" 5 (List.assoc "epoch" after);
+    Alcotest.(check int) "unreclaimed gauge" (List.assoc "unreclaimed" after)
+      (Counters.unreclaimed c);
+    Option.iter walk next
+  in
+  walk Retired
 
 let stats_pp_smoke () =
   let s = Smr_stats.zero in

@@ -7,7 +7,10 @@
 #      dune-project because ocamlformat is not in the build image)
 #   5. JSON emission smoke test: one short popbench cell with --json
 #      must produce a parseable file that contains a finite throughput
-#      (a broken cell emits null, which must fail here)
+#      (a broken cell emits null, which must fail here). The same cell
+#      run with --csv fixes the stats schema: its stat columns (every
+#      column after max_us) are the exact, ordered key list every
+#      Runner cell's "smr" object must carry in steps 5, 6, 8 and 9
 #   6. churn smoke test: a fixed-seed thread-churn cell (exit + crash +
 #      join) under the SmrSan sanitizer must fire its events, stay
 #      violation-free, and emit the churn counters plus the full
@@ -47,7 +50,8 @@
 #      baseline is not overwritten)
 # Every python check loads its file through one loader that fails on a
 # duplicate key in any object (json.load alone keeps the last one and
-# hides the first). When python3 is absent every python assertion falls
+# hides the first), and checks Runner cells' stats through its one
+# schema helper, assert_smr_schema. When python3 is absent every python assertion falls
 # back to greps that check the load-bearing keys exist and no null
 # snuck into a numeric field — the gate must never pass vacuously.
 # Run from the repository root: sh tools/tier1.sh
@@ -55,12 +59,18 @@ set -e
 cd "$(dirname "$0")/.."
 # json_check FILE runs the python check read from stdin with FILE
 # already parsed into `doc`.
-json_loader='import json, sys
+json_loader='import json, os, sys
 def unique_keys(pairs):
     keys = [k for k, _ in pairs]
     dups = sorted({k for k in keys if keys.count(k) > 1})
     assert not dups, "%s: duplicate keys %s" % (sys.argv[1], dups)
     return dict(pairs)
+def assert_smr_schema(cells):
+    want = os.environ["SMR_STAT_KEYS"].split(",")
+    for c in cells:
+        got = list(c["smr"])
+        assert got == want, "%s: smr keys %s differ from the CSV stat columns %s" \
+            % (c.get("label", sys.argv[1]), got, want)
 with open(sys.argv[1]) as f:
     doc = json.load(f, object_pairs_hook=unique_keys)
 '
@@ -72,14 +82,23 @@ dune runtest
 dune build @lint
 dune build @fmt
 json_smoke=_build/popbench_smoke.json
+csv_smoke=_build/popbench_smoke.csv
 churn_smoke=_build/popbench_churn_smoke.json
 seg_smoke_dir=_build/seg_smoke
 kv_smoke_dir=_build/kv_smoke
 alloc_smoke_dir=_build/alloc_smoke
 tournament_smoke=_build/popbench_tournament_smoke.json
-trap 'rm -f "$json_smoke" "$churn_smoke" "$tournament_smoke"; rm -rf "$seg_smoke_dir" "$kv_smoke_dir" "$alloc_smoke_dir"' EXIT
+trap 'rm -f "$json_smoke" "$csv_smoke" "$churn_smoke" "$tournament_smoke"; rm -rf "$seg_smoke_dir" "$kv_smoke_dir" "$alloc_smoke_dir"' EXIT
 ./_build/default/bin/popbench.exe --ds hml --smr epoch-pop -t 2 -d 0.2 \
   --json "$json_smoke" > /dev/null
+./_build/default/bin/popbench.exe --ds hml --smr epoch-pop -t 2 -d 0.2 \
+  --csv > "$csv_smoke"
+SMR_STAT_KEYS=$(head -n 1 "$csv_smoke" | sed -n 's/^.*,max_us,//p')
+export SMR_STAT_KEYS
+if [ -z "$SMR_STAT_KEYS" ]; then
+  echo "csv smoke: FAIL (no stat columns after max_us)" >&2
+  exit 1
+fi
 if command -v python3 > /dev/null 2>&1; then
   json_check "$json_smoke" <<'EOF'
 cells = doc
@@ -87,11 +106,17 @@ assert isinstance(cells, list) and cells, "expected a non-empty JSON array"
 for cell in cells:
     assert "mops" in cell, "throughput key missing"
     assert isinstance(cell["mops"], (int, float)), "mops is not a finite number (null cell?)"
-    assert "smr" in cell and "snapshot_reuses" in cell["smr"], "smr stats missing"
     assert cell["scheme"] == "epoch-pop", "scheme name missing or wrong"
-print("json smoke: ok (%d cells)" % len(cells))
+assert_smr_schema(cells)
+print("json smoke: ok (%d cells, %d stat keys)" % (len(cells), len(cells[0]["smr"])))
 EOF
 else
+  for k in orphans_adopted max_pause_ns; do
+    if ! echo ",$SMR_STAT_KEYS," | grep -q ",$k,"; then
+      echo "csv smoke: FAIL (stat column $k missing)" >&2
+      exit 1
+    fi
+  done
   grep -q '"mops"' "$json_smoke"
   grep -q '"snapshot_reuses"' "$json_smoke"
   grep -q '"scheme": "epoch-pop"' "$json_smoke"
@@ -127,6 +152,7 @@ assert set(cats) == expected_cats, \
     "violation breakdown keys drifted: %s" % sorted(set(cats) ^ expected_cats)
 for k, v in cats.items():
     assert v == 0, "sanitizer category %s nonzero: %d" % (k, v)
+assert_smr_schema(cells)
 print("churn smoke: ok (exited=%d crashed=%d joined=%d, %d categories clean)"
       % (c["exited"], c["crashed"], c["joined"], len(cats)))
 EOF
@@ -194,6 +220,7 @@ for cell in cells:
         "latency percentiles out of order"
     assert cell["consistent"], "KV cell inconsistent"
     assert cell["smr"]["violations"] == 0, "sanitizer flagged a KV cell"
+assert_smr_schema(cells)
 print("kv smoke: ok (%d cells, worst p999 %.1f us)"
       % (len(cells), max(c["p999"] for c in cells)))
 EOF
@@ -270,6 +297,7 @@ for c in cells:
     assert c["uaf"] == 0, "%s: use-after-free detected" % label
     assert c["double_free"] == 0, "%s: double free detected" % label
     assert c["consistent"], "%s: cell inconsistent" % label
+assert_smr_schema(cells)
 assert scenarios == {"stall-poll", "crash", "kv-skew"}, \
     "scenario labels drifted: %s" % sorted(scenarios)
 stalled = [c for c in cells if c["label"].startswith("stall-poll/")]
