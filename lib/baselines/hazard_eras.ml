@@ -23,6 +23,7 @@ type 'a tctx = {
   srow : int Atomic.t array; (* cached shared era row *)
   fence : Fence.cell;
   rl : 'a Reclaimer.local;
+  mutable allocs : int;
 }
 
 let create cfg hub heap =
@@ -46,6 +47,7 @@ let register g ~tid =
     srow = Reservations.shared_row g.res ~tid;
     fence = Fence.make_cell ();
     rl = Reclaimer.register g.eng ~tid ~scratch_slots:(g.cfg.max_threads * g.cfg.max_hp);
+    allocs = 0;
   }
 
 let start_op _ctx = ()
@@ -71,7 +73,14 @@ let read ctx slot addr proj =
 
 let check ctx n = Heap.check_access ctx.g.heap n
 
-let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
+(* The era clock also ticks every [epoch_freq] allocations of a thread,
+   as in IBR and HazardEraPOP, so the nodes retired between two passes
+   span several eras and a peer's reserved era pins only the newest. No
+   cache invalidation: a tick changes no published reservation. *)
+let alloc ctx =
+  ctx.allocs <- ctx.allocs + 1;
+  if ctx.allocs mod ctx.g.cfg.epoch_freq = 0 then ignore (Atomic.fetch_and_add ctx.g.epoch 1);
+  Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
 
 (* Freeable when no collected era lies within the node's lifespan — a
    range-emptiness query the engine runs per block stamp first, then

@@ -74,16 +74,22 @@ let end_op ctx =
 
 let poll ctx = Softsignal.poll ctx.port
 
-let read ctx _slot addr _proj =
+(* 2GE-IBR's read: load the pointer, then the epoch, and return only
+   when the published upper bound already equals that epoch. The node
+   was born no later than the epoch read after it, so it lies inside
+   the interval; publishing first and loading the pointer second would
+   let a node born in a later epoch escape the interval. *)
+let rec read ctx slot addr proj =
+  let v = Atomic.get addr in
   let e = Atomic.get ctx.g.epoch in
-  if e <> ctx.cached_hi then begin
-    (* The upper bound must be visible before the pointer is used: the
-       fence IBR pays whenever the epoch advances under a traversal. *)
+  if e = ctx.cached_hi then v
+  else begin
+    (* The fence IBR pays whenever the epoch advances under a traversal. *)
     Atomic.set ctx.hi_cell e;
     Fence.execute ctx.fence (ctx.g.cfg.fence_cost - 1);
-    ctx.cached_hi <- e
-  end;
-  Atomic.get addr
+    ctx.cached_hi <- e;
+    read ctx slot addr proj
+  end
 
 let check ctx n = Heap.check_access ctx.g.heap n
 

@@ -26,6 +26,7 @@ type 'a tctx = {
   rl : 'a Reclaimer.local;
   counter_scratch : int array;
   timeout_scratch : bool array;
+  mutable allocs : int;
 }
 
 let create cfg hub heap =
@@ -61,6 +62,7 @@ let register g ~tid =
       rl = Reclaimer.register g.eng ~tid ~scratch_slots:(2 * g.cfg.max_threads * g.cfg.max_hp);
       counter_scratch = Array.make g.cfg.max_threads 0;
       timeout_scratch = Array.make g.cfg.max_threads false;
+      allocs = 0;
     }
   in
   Softsignal.set_handler port (fun () ->
@@ -96,7 +98,16 @@ let read ctx slot addr proj =
 
 let check ctx n = Heap.check_access ctx.g.heap n
 
-let alloc ctx = Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
+(* The era clock also ticks every [epoch_freq] allocations of a thread
+   (IBR's rule), so the nodes retired between two passes span several
+   eras and a peer reserving the current one pins only the newest.
+   Unlike IBR's copy this does not invalidate the snapshot cache: a tick
+   changes no published reservation, and a reader that re-reserves the
+   new era does so privately until pinged. *)
+let alloc ctx =
+  ctx.allocs <- ctx.allocs + 1;
+  if ctx.allocs mod ctx.g.cfg.epoch_freq = 0 then ignore (Atomic.fetch_and_add ctx.g.epoch 1);
+  Heap.alloc ctx.g.heap ~tid:ctx.tid ~birth_era:(Atomic.get ctx.g.epoch)
 
 (* A node is freeable when no collected era lies within its lifespan —
    a range-emptiness query on the sorted snapshot instead of the former

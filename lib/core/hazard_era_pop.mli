@@ -6,6 +6,11 @@
     fence — and no fence even when the era changed under the read, which
     is where original HE pays one) and only published when a reclaimer
     pings. A retired node is freed when no published era intersects its
-    [birth, retire] lifespan. *)
+    [birth, retire] lifespan.
+
+    Era clock: the global era advances by one every [epoch_freq]
+    allocations of a thread and at the start of every reclamation pass.
+    Nodes retired since the last pass therefore span several eras, and a
+    peer reserving the current era pins only the newest of them. *)
 
 include Smr.S

@@ -8,8 +8,9 @@ type t = {
           ([reclaimFreq] in Algorithms 1–6; 24K in the paper's main
           experiments, 2K in the long-running-reads experiment). *)
   epoch_freq : int;
-      (** Operations (EBR/EpochPOP) or allocations (IBR) between global
-          epoch advances ([epochFreq]). *)
+      (** Operations (EBR/EpochPOP) or allocations of one thread
+          (IBR, HE, HE-POP) between global epoch advances
+          ([epochFreq]). *)
   pop_mult : int;
       (** [C] in Algorithm 3: EpochPOP falls back to publish-on-ping when
           the retire list reaches [pop_mult * reclaim_freq]. *)

@@ -218,6 +218,38 @@ let deaf_to_the_end_epoch_pop () = check_deaf "epoch-pop" (runner_deaf Dispatch.
 
 let deaf_to_the_end_hp_pop () = check_deaf "hp-pop" (runner_deaf Dispatch.HPPOP)
 
+(* The era clock ticks with allocations (HE, HE-POP): when it moved only
+   at the start of a pass, every node retired since the previous pass
+   carried the era a mid-operation peer reserves, so a pass freed about
+   a quarter of its threshold and left the rest pinned. Nodes retired in
+   earlier eras must now go, so a pass frees at least half of one. *)
+let era_pass_frees_half_a_threshold smr () =
+  let r =
+    Runner.run
+      {
+        Runner.default_cfg with
+        ds = Dispatch.HMHT;
+        smr;
+        threads = 2;
+        duration = 0.3;
+        mix = Workload.update_heavy;
+        seed = 11;
+        sanitize = true;
+      }
+  in
+  let s = r.Runner.smr in
+  (* reclaim_scale = 0, so the pass threshold is the flat reclaim_freq. *)
+  let threshold = r.Runner.r_cfg.Runner.reclaim_freq in
+  let passes = s.Smr_stats.reclaim_passes + s.Smr_stats.pop_passes in
+  Alcotest.(check int) "no violations" 0 s.Smr_stats.violations;
+  Alcotest.(check int) "no UAF" 0 r.Runner.uaf;
+  Alcotest.(check bool) "consistent" true (Runner.consistent r);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d frees over %d passes >= %d per pass" s.Smr_stats.freed passes
+       (threshold / 2))
+    true
+    (passes > 0 && s.Smr_stats.freed >= passes * (threshold / 2))
+
 let suite =
   [
     case "epoch-pop reclaims past a delayed thread" epoch_pop_reclaims_past_delayed_thread;
@@ -228,4 +260,6 @@ let suite =
     case "deaf stall delays reclaimers but recovers" deaf_stall_delays_but_recovers;
     case "deaf to the end: epoch-pop terminates safely" deaf_to_the_end_epoch_pop;
     case "deaf to the end: hp-pop terminates safely" deaf_to_the_end_hp_pop;
+    case "he-pop: a pass frees half a threshold" (era_pass_frees_half_a_threshold Dispatch.HEPOP);
+    case "he: a pass frees half a threshold" (era_pass_frees_half_a_threshold Dispatch.HE);
   ]

@@ -429,6 +429,27 @@ let epoch_pop_birth_eras_advance () =
       let b1 = (Epoch_pop.alloc ctx).Heap.birth_era in
       Alcotest.(check bool) "birth era advanced" true (b1 > b0))
 
+(* --- IBR, HE, HE-POP: the era clock ticks with allocations --- *)
+
+(* [k * epoch_freq] allocations of one thread, with no retire and hence
+   no pass, advance the global era by exactly [k], one tick at each
+   multiple of [epoch_freq]. *)
+let alloc_ticks_era (name, (module R : Smr.S)) =
+  case (name ^ ": era ticks every epoch_freq allocations") (fun () ->
+      let module Rig = Smr_rig (R) in
+      Rig.run ~epoch_freq:3 (fun rig g ctx ->
+          let epoch () = (R.stats g).Smr_stats.epoch in
+          let f = rig.cfg.epoch_freq and e0 = epoch () in
+          let k = 4 in
+          for i = 1 to k * f do
+            ignore (R.alloc ctx);
+            Alcotest.(check int) (Printf.sprintf "ticks after %d allocs" i) (i / f) (epoch () - e0)
+          done;
+          let s = R.stats g in
+          Alcotest.(check int) "no pass ran" 0 (s.Smr_stats.reclaim_passes + s.Smr_stats.pop_passes)))
+
+let era_clock_smrs = List.filter (fun (n, _) -> List.mem n [ "ibr"; "he"; "he-pop" ]) all_safe_smrs
+
 (* Cadence gates frees on global barrier ticks, so threshold-exact
    expectations do not apply to it; it gets dedicated tests instead. *)
 let generic =
@@ -442,8 +463,10 @@ let generic =
 
 let protection = List.map protected_survives reclaiming_smrs
 
+let era_clock = List.map alloc_ticks_era era_clock_smrs
+
 let suite =
-  generic @ protection
+  generic @ protection @ era_clock
   @ [
       case "nr: leaks by design" nr_leaks;
       case "unsafe-free: detectably unsafe" unsafe_free_is_unsafe;
